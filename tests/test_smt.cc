@@ -206,6 +206,28 @@ TEST(Smt, CrossThreadSharingObservedOnIdenticalWorkloads)
     EXPECT_GT(result.fairness(), 0.5);
 }
 
+TEST(Smt, HomogeneousPairDoesNotShareCacheLines)
+{
+    // Each thread runs in its own functional memory, so two copies of
+    // a pointer chase touch distinct data even at equal addresses.
+    // With unsalted addresses the partner prefetched every line and
+    // each thread beat its solo IPC (superlinear SMT); sharing the
+    // caches can only cost a thread throughput, never add to it.
+    const u64 insts = 20000;
+    auto params = CoreParams::contentAware();
+    auto solo_trace = trace("mem_chase", insts);
+    Pipeline pipeline(params);
+    auto solo = pipeline.run(*solo_trace);
+
+    auto ta = trace("mem_chase", insts);
+    auto tb = trace("mem_chase", insts);
+    SmtPipeline smt(params, 2);
+    auto pair = smt.run({ta.get(), tb.get()});
+    ASSERT_EQ(pair.threads.size(), 2u);
+    for (const auto &t : pair.threads)
+        EXPECT_LE(t.ipc, solo.ipc);
+}
+
 TEST(Smt, RecoveryStarvationBoundIsFinite)
 {
     // Contention-aware recovery: under heavy Long pressure every
