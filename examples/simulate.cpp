@@ -19,7 +19,7 @@
 
 #include "common/config.hh"
 #include "common/logging.hh"
-#include "core/smt.hh"
+#include "core/pipeline.hh"
 #include "emu/trace_file.hh"
 #include "energy/report.hh"
 #include "regfile/registry.hh"

@@ -112,10 +112,9 @@ struct CoreParams
     unsigned oracleSamplePeriod = 0;
 
     /**
-     * Hardware threads sharing the core (SMT, §6 / ROADMAP item 5).
-     * 1 runs the solo pipeline; >1 runs SmtPipeline with per-thread
-     * RAT/ROB/LSQ partitions over shared register files, queues, FUs,
-     * caches, and predictor.
+     * Hardware threads sharing the core (SMT, paper §6). >1 gives
+     * the Pipeline per-thread RAT/ROB/LSQ partitions over shared
+     * register files, queues, FUs, caches, and predictor.
      */
     unsigned smtThreads = 1;
 

@@ -31,24 +31,4 @@ FreeList::release(u32 tag)
     free_.push_back(tag);
 }
 
-RenameMap::RenameMap(unsigned arch_regs, unsigned phys_regs)
-    : physRegs_(phys_regs), rat_(arch_regs),
-      freeList_(phys_regs, arch_regs)
-{
-    if (phys_regs <= arch_regs)
-        fatal("RenameMap: %u physical registers cannot back %u "
-              "architectural registers", phys_regs, arch_regs);
-    for (unsigned i = 0; i < arch_regs; ++i)
-        rat_[i] = i;
-}
-
-u32
-RenameMap::rename(unsigned arch, u32 &old_tag_out)
-{
-    old_tag_out = rat_.at(arch);
-    u32 fresh = freeList_.allocate();
-    rat_[arch] = fresh;
-    return fresh;
-}
-
 } // namespace carf::core

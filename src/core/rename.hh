@@ -1,7 +1,9 @@
 /**
  * @file
- * Register renaming: per-class register alias tables and physical
- * tag free lists.
+ * Register renaming: the physical tag free list. The register alias
+ * tables are plain per-thread arrays in the pipeline (core/pipeline.hh),
+ * allocating from one free list per register class shared by all
+ * hardware threads.
  *
  * Integer architectural register 0 is hardwired to zero and is never
  * renamed nor mapped; reads of it carry no dependence and no register
@@ -34,40 +36,6 @@ class FreeList
 
   private:
     std::vector<u32> free_;
-};
-
-/**
- * One register class's rename state: RAT + free list. The initial
- * mapping is identity (arch reg i -> tag i), and those tags are live
- * with value zero at reset.
- */
-class RenameMap
-{
-  public:
-    RenameMap(unsigned arch_regs, unsigned phys_regs);
-
-    /** Current mapping of @p arch (the tag consumers read). */
-    u32 lookup(unsigned arch) const { return rat_.at(arch); }
-
-    bool canRename() const { return !freeList_.empty(); }
-
-    /**
-     * Rename @p arch to a fresh tag.
-     * @param old_tag_out previous mapping, to release at commit
-     * @return the new tag
-     */
-    u32 rename(unsigned arch, u32 &old_tag_out);
-
-    /** Commit released the previous mapping @p old_tag. */
-    void releaseTag(u32 old_tag) { freeList_.release(old_tag); }
-
-    size_t freeTags() const { return freeList_.freeCount(); }
-    unsigned physRegs() const { return physRegs_; }
-
-  private:
-    unsigned physRegs_;
-    std::vector<u32> rat_;
-    FreeList freeList_;
 };
 
 } // namespace carf::core

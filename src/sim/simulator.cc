@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "core/smt.hh"
+#include "core/pipeline.hh"
 
 namespace carf::sim
 {
@@ -238,7 +238,8 @@ simulateSmt(const workloads::Workload &workload,
     double trace_build_seconds = secondsSince(start);
 
     auto sim_start = std::chrono::steady_clock::now();
-    core::SmtPipeline pipeline(params, num_threads);
+    core::Pipeline pipeline(params, num_threads);
+    pipeline.setFastPath(options.fastPath);
     core::SmtResult smt = pipeline.run(sources);
     core::RunResult result = smt.aggregate();
 

@@ -68,9 +68,10 @@ struct SimOptions
     std::vector<std::string> smtMix;
 
     /**
-     * Exact idle-cycle skip in the solo cycle loop (Pipeline
-     * fast path). Results are bit-identical either way; off is for
-     * differential tests and honest speedup measurement.
+     * Exact idle-cycle skip in the cycle loop (Pipeline fast path),
+     * for solo and SMT runs alike. Results are bit-identical either
+     * way; off is for differential tests and honest speedup
+     * measurement.
      */
     bool fastPath = true;
 
@@ -112,16 +113,17 @@ core::RunResult simulate(const workloads::Workload &workload,
                          LiveValueOracle *oracle = nullptr);
 
 /**
- * Simulate @p workload on an SMT core with params.smtThreads hardware
- * threads (core/smt.hh). Thread 0 runs @p workload; partner threads
- * run options.smtMix (see SimOptions::smtMix). Returns the aggregate
- * RunResult (summed per-thread counters plus the smt* fields).
+ * Simulate @p workload on a core with params.smtThreads hardware
+ * threads (core/pipeline.hh). Thread 0 runs @p workload; partner
+ * threads run options.smtMix (see SimOptions::smtMix). Returns the
+ * aggregate RunResult (summed per-thread counters plus the smt*
+ * fields). options.fastPath applies as in simulate().
  *
  * With smtThreads == 1 this delegates to simulate() — a one-thread
  * SMT job is by definition the solo pipeline, and the delegation
  * makes the T=1 column of any sweep bit-identical to a solo sweep.
- * Incompatible with fastForward and the live-value oracle (both are
- * solo-pipeline features); fatal if requested.
+ * Incompatible with fastForward, the live-value oracle and sampling
+ * (all three are one-thread features); fatal if requested.
  */
 core::RunResult simulateSmt(const workloads::Workload &workload,
                             const core::CoreParams &params,

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the core's bookkeeping structures: rename map/free list,
+ * Tests for the core's bookkeeping structures: tag free list,
  * ROB, issue queues, LSQ (memory dependence), and bypass accounting.
  */
 
@@ -37,40 +37,6 @@ TEST(FreeList, ReleaseMakesTagAvailable)
     EXPECT_TRUE(fl.empty());
     fl.release(tag);
     EXPECT_EQ(fl.allocate(), tag);
-}
-
-TEST(RenameMap, InitialIdentityMapping)
-{
-    RenameMap map(32, 112);
-    for (unsigned i = 0; i < 32; ++i)
-        EXPECT_EQ(map.lookup(i), i);
-    EXPECT_EQ(map.freeTags(), 80u);
-}
-
-TEST(RenameMap, RenameReturnsOldMapping)
-{
-    RenameMap map(32, 40);
-    u32 old_tag = 99;
-    u32 fresh = map.rename(5, old_tag);
-    EXPECT_EQ(old_tag, 5u);
-    EXPECT_EQ(map.lookup(5), fresh);
-    EXPECT_GE(fresh, 32u);
-
-    u32 old2 = 0;
-    u32 fresh2 = map.rename(5, old2);
-    EXPECT_EQ(old2, fresh);
-    EXPECT_EQ(map.lookup(5), fresh2);
-}
-
-TEST(RenameMap, ExhaustionAndRecycling)
-{
-    RenameMap map(2, 4);
-    u32 old_tag;
-    map.rename(0, old_tag);
-    map.rename(1, old_tag);
-    EXPECT_FALSE(map.canRename());
-    map.releaseTag(0);
-    EXPECT_TRUE(map.canRename());
 }
 
 TEST(Rob, FifoOrderAndCapacity)
