@@ -15,14 +15,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <map>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/fingerprint.hh"
 #include "core/pipeline.hh"
-#include "core/smt.hh"
 #include "regfile/registry.hh"
 #include "sim/reporting.hh"
 #include "sim/result_store.hh"
@@ -142,6 +144,178 @@ TEST(FastPath, SkipsFireOnTheIcacheSide)
     EXPECT_GT(
         run.cycleAccounting.counts[core::CycleAccounting::IcacheWait],
         0u);
+}
+
+namespace
+{
+
+/** Named SMT mixes for the T=2/4 skip wall: lead, partners. */
+const std::map<std::string, std::pair<std::string,
+                                      std::vector<std::string>>> &
+smtMixes()
+{
+    static const std::map<std::string,
+                          std::pair<std::string, std::vector<std::string>>>
+        table = {
+            {"hash_table", {"hash_table", {}}},
+            {"mem_chase_counters", {"mem_chase", {"counters"}}},
+            {"crc_daxpy", {"crc", {"daxpy"}}},
+            {"mem_chase", {"mem_chase", {}}},
+            {"stream_wall_fetch_wall", {"stream_wall", {"fetch_wall"}}},
+        };
+    return table;
+}
+
+core::CoreParams
+smtParams(const std::string &backend, unsigned threads)
+{
+    core::CoreParams p = core::CoreParams::forBackend(backend);
+    p.smtThreads = threads;
+    p.physIntRegs = std::max(p.physIntRegs, 80 + 32 * threads);
+    p.physFpRegs = std::max(p.physFpRegs, 96 + 32 * threads);
+    return p;
+}
+
+/**
+ * One SMT run of a named mix that drains every thread (so the
+ * one-thread tail after the first drain is covered too).
+ */
+core::SmtResult
+smtRun(const std::string &mix, unsigned threads,
+       const core::CoreParams &params, u64 insts, bool fast_path)
+{
+    const auto &[lead, partners] = smtMixes().at(mix);
+    std::vector<std::unique_ptr<emu::TraceSource>> traces;
+    std::vector<emu::TraceSource *> sources;
+    for (unsigned t = 0; t < threads; ++t) {
+        const std::string &name =
+            t == 0 || partners.empty()
+                ? lead
+                : partners[(t - 1) % partners.size()];
+        traces.push_back(
+            workloads::makeTrace(workloads::findWorkload(name), insts));
+        sources.push_back(traces.back().get());
+    }
+    core::Pipeline core(params, threads);
+    core.setFastPath(fast_path);
+    return core.run(sources, false);
+}
+
+/** Stripped JSON of the aggregate followed by every thread's record. */
+std::string
+smtJson(const core::SmtResult &r)
+{
+    std::string all = sim::runResultJsonFull(r.aggregate(), false);
+    for (const core::RunResult &t : r.threads)
+        all += "\n" + sim::runResultJsonFull(t, false);
+    return all;
+}
+
+using SmtCase = std::tuple<unsigned, std::string, std::string>;
+
+class SmtFastPathDifferential : public ::testing::TestWithParam<SmtCase>
+{
+};
+
+} // namespace
+
+TEST_P(SmtFastPathDifferential, SkippingRunIsBitIdenticalToStepped)
+{
+    auto [threads, mix, backend] = GetParam();
+    core::CoreParams params = smtParams(backend, threads);
+    core::SmtResult stepped = smtRun(mix, threads, params, 8000, false);
+    core::SmtResult skipping = smtRun(mix, threads, params, 8000, true);
+
+    EXPECT_EQ(stepped.aggregate().fastPathSkips, 0u);
+    // Every simulated statistic, per thread and aggregated, including
+    // the per-thread and machine cycle buckets, the sharing counters
+    // and the recovery starvation bound.
+    EXPECT_EQ(smtJson(stepped), smtJson(skipping));
+    EXPECT_EQ(stepped.maxRecoveryWait, skipping.maxRecoveryWait);
+
+    // Conservation on both runs, per thread and for the machine.
+    for (const core::SmtResult *r : {&stepped, &skipping}) {
+        EXPECT_EQ(bucketTotal(r->machineAccounting), r->cycles);
+        for (const core::RunResult &t : r->threads)
+            EXPECT_EQ(bucketTotal(t.cycleAccounting), r->cycles);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NamedMixesTimesBackends, SmtFastPathDifferential,
+    ::testing::Combine(::testing::Values(2u, 4u),
+                       ::testing::Values("hash_table",
+                                         "mem_chase_counters",
+                                         "crc_daxpy", "mem_chase",
+                                         "stream_wall_fetch_wall"),
+                       ::testing::Values("baseline", "content-aware",
+                                         "port-reduction", "unlimited")),
+    [](const ::testing::TestParamInfo<SmtCase> &info) {
+        std::string name = "T" + std::to_string(std::get<0>(info.param)) +
+                           "_" + std::get<1>(info.param) + "_" +
+                           std::get<2>(info.param);
+        for (char &c : name)
+            if (c == '-')
+                c = '_';
+        return name;
+    });
+
+TEST(FastPath, SkipsFireOnSmtStallMix)
+{
+    // mem_chase + counters through the public SMT entry point: the
+    // skip must fire (simulateSmt honours SimOptions::fastPath) and
+    // the two settings must agree byte for byte.
+    core::CoreParams params = smtParams("content-aware", 2);
+    sim::SimOptions on;
+    on.maxInsts = 20000;
+    on.smtMix = {"counters"};
+    sim::SimOptions off = on;
+    off.fastPath = false;
+    const auto &lead = workloads::findWorkload("mem_chase");
+    core::RunResult fast = sim::simulateSmt(lead, params, on);
+    core::RunResult slow = sim::simulateSmt(lead, params, off);
+    EXPECT_EQ(slow.fastPathSkips, 0u);
+    EXPECT_GT(fast.fastPathSkips, 0u);
+    EXPECT_GT(fast.fastPathSkippedCycles, fast.cycles / 10);
+    EXPECT_EQ(sim::runResultJsonFull(fast, false),
+              sim::runResultJsonFull(slow, false));
+
+    // Both threads stalled on memory most of the time: the skip
+    // covers most of a drain-all mem_chase pair.
+    core::SmtResult pair =
+        smtRun("mem_chase", 2, params, 20000, true);
+    core::RunResult agg = pair.aggregate();
+    EXPECT_GT(agg.fastPathSkippedCycles, pair.cycles / 2);
+}
+
+TEST(FastPathDeathTest, SmtWatchdogFiresOnGenuineHang)
+{
+    // A memory latency beyond the watchdog horizon is a hang by the
+    // simulator's definition: no commit for watchdogCycles. The skip
+    // caps its jumps at the horizon, so the watchdog fires with the
+    // fast path on exactly as it does stepping.
+    core::CoreParams params = smtParams("content-aware", 2);
+    params.memory.memoryLatency = 400000;
+    for (bool fast_path : {false, true}) {
+        EXPECT_DEATH((void)smtRun("mem_chase", 2, params, 2000,
+                                  fast_path),
+                     "no commit for 200000 cycles");
+    }
+}
+
+TEST(FastPath, SmtWatchdogIgnoresLongSkippedStalls)
+{
+    // Just under the horizon: every miss idles ~190k cycles without a
+    // commit, nearly all of them skipped. A skip must never look like
+    // a hang, and the buckets still cover every cycle.
+    core::CoreParams params = smtParams("content-aware", 2);
+    params.memory.memoryLatency = 190000;
+    core::SmtResult r = smtRun("mem_chase", 2, params, 300, true);
+    for (const core::RunResult &t : r.threads)
+        EXPECT_EQ(t.committedInsts, 300u);
+    EXPECT_GT(r.cycles, 190000u);
+    EXPECT_GT(r.aggregate().fastPathSkippedCycles, r.cycles * 9 / 10);
+    EXPECT_EQ(bucketTotal(r.machineAccounting), r.cycles);
 }
 
 TEST(CycleAccounting, SumsToCyclesOnSmtRuns)
