@@ -8,6 +8,10 @@
 #ifndef CARF_EMU_TRACE_HH
 #define CARF_EMU_TRACE_HH
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "isa/opcode.hh"
 
 namespace carf::emu
@@ -70,6 +74,49 @@ class TraceSource
 
     /** Human-readable source name for reports. */
     virtual std::string name() const = 0;
+};
+
+/**
+ * Streaming delivery with a host-time meter. Records are pulled from
+ * the inner source (the emulator) a block of blockRecords at a time;
+ * the clock is read once before and once after each fill, and the
+ * block is then handed out record by record. The meter therefore
+ * costs two clock reads per block rather than two per record, and
+ * the read-ahead is invisible downstream: the inner source is
+ * deterministic and keeps its own budget cap.
+ */
+class MeteredSource final : public TraceSource
+{
+  public:
+    /** Records per fill. */
+    static constexpr size_t blockRecords = 1024;
+
+    explicit MeteredSource(std::unique_ptr<TraceSource> inner);
+
+    bool
+    next(DynOp &out) override
+    {
+        if (pos_ == filled_ && !refill())
+            return false;
+        out = block_[pos_++];
+        return true;
+    }
+
+    std::string name() const override { return inner_->name(); }
+
+    /** Host seconds spent inside the inner source so far. */
+    double seconds() const { return seconds_; }
+
+  private:
+    /** Fill the block from the inner source; false once it is dry. */
+    bool refill();
+
+    std::unique_ptr<TraceSource> inner_;
+    std::vector<DynOp> block_;
+    size_t filled_ = 0;
+    size_t pos_ = 0;
+    bool drained_ = false;
+    double seconds_ = 0.0;
 };
 
 } // namespace carf::emu

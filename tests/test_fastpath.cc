@@ -391,6 +391,32 @@ TEST(Sampling, PinnedAccuracyOnIntKernels)
     }
 }
 
+TEST(Sampling, StreamingMatchesCached)
+{
+    // The period is not a multiple of the streaming block size, so
+    // the functional gaps and detailed episodes end mid-block.
+    const auto &workload = workloads::findWorkload("hash_table");
+    core::CoreParams params = core::CoreParams::contentAware(20);
+    sim::SimOptions options;
+    options.maxInsts = 60000;
+    options.lockstep = false;
+    options.samplingPeriod = 7777;
+    options.samplingWarmup = 1500;
+    options.samplingMeasure = 700;
+    ASSERT_NE(options.samplingPeriod % emu::MeteredSource::blockRecords,
+              0u);
+
+    emu::TraceCache cache;
+    sim::SimOptions cached = options;
+    cached.traceCache = &cache;
+    core::RunResult s = sim::simulateSampled(workload, params, options);
+    core::RunResult c = sim::simulateSampled(workload, params, cached);
+    EXPECT_EQ(cache.buildCount(workload.name), 1u);
+    EXPECT_EQ(sim::runResultJsonFull(s, false),
+              sim::runResultJsonFull(c, false));
+    EXPECT_GT(s.samplingIntervals, 5u);
+}
+
 TEST(Sampling, StoreKeysSeparateSampledFromFullRuns)
 {
     namespace fs = std::filesystem;
