@@ -1,19 +1,22 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the trace subsystem: trace
- * build (emulate + encode) cost, zero-copy cursor replay vs streaming
- * emulation throughput, the cost of metering streamed emulation per
- * record vs per block (MeteredSource), and the headline experiment-engine number — a
- * 4-configuration sweep over the full workload suite with and without
- * the shared TraceCache. The sweep pair is the before/after evidence
- * for the cache: "Streaming" pays one emulation per (config, workload)
- * job, "Cached" pays one per workload.
+ * build (emulate + encode) cost, emulator construction (the data
+ * segment preload into the paged memory image), zero-copy cursor
+ * replay vs streaming emulation throughput, the cost of metering
+ * streamed emulation per record vs per block (MeteredSource), and the
+ * headline experiment-engine number — a 4-configuration sweep over
+ * the full workload suite with and without the shared TraceCache. The
+ * sweep pair is the before/after evidence for the cache: "Streaming"
+ * pays one emulation per (config, workload) job, "Cached" pays one
+ * per workload.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 
+#include "emu/emulator.hh"
 #include "emu/trace_buffer.hh"
 #include "emu/trace_cache.hh"
 #include "sim/experiment_runner.hh"
@@ -56,6 +59,29 @@ BM_TraceBuild(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TraceBuild)->Arg(1 << 18)->Unit(benchmark::kMillisecond);
+
+void
+BM_EmulatorConstruct(benchmark::State &state)
+{
+    // Construct an Emulator for mem_chase: preloading its 4 MiB data
+    // segment into the paged memory image, before any instruction
+    // runs. The program is assembled and copied outside the timed
+    // region, so this is the segment load alone.
+    const auto &w = workloads::findWorkload("mem_chase");
+    const isa::Program program = w.build();
+    std::unique_ptr<emu::Emulator> emulator;
+    for (auto _ : state) {
+        state.PauseTiming();
+        emulator.reset(); // frees the previous image untimed
+        isa::Program copy = program;
+        state.ResumeTiming();
+        emulator =
+            std::make_unique<emu::Emulator>(std::move(copy), w.name);
+        benchmark::DoNotOptimize(emulator->memory().pageCount());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_EmulatorConstruct)->Unit(benchmark::kMillisecond);
 
 /** Drain @p source, counting records into @p state. */
 void

@@ -1,20 +1,31 @@
 #include "emu/memory_image.hh"
 
+#include <algorithm>
 #include <cstring>
 
 namespace carf::emu
 {
+
+namespace
+{
+
+/** True when [addr, addr + bytes) lies inside one page. */
+bool
+fitsInPage(Addr addr, unsigned bytes)
+{
+    return (addr & (MemoryImage::pageSize - 1)) + bytes <=
+           MemoryImage::pageSize;
+}
+
+} // namespace
 
 MemoryImage::Page &
 MemoryImage::page(Addr addr)
 {
     u64 key = addr >> pageShift;
     auto it = pages_.find(key);
-    if (it == pages_.end()) {
-        auto fresh = std::make_unique<Page>();
-        fresh->fill(0);
-        it = pages_.emplace(key, std::move(fresh)).first;
-    }
+    if (it == pages_.end())
+        it = pages_.emplace(key, std::make_unique<Page>()).first;
     return *it->second;
 }
 
@@ -44,6 +55,15 @@ u64
 MemoryImage::read(Addr addr, unsigned bytes) const
 {
     u64 value = 0;
+    if (fitsInPage(addr, bytes)) {
+        // One lookup for the whole access; an absent page reads zero.
+        if (const Page *p = pageIfPresent(addr)) {
+            const u8 *src = p->data() + (addr & (pageSize - 1));
+            for (unsigned i = 0; i < bytes; ++i)
+                value |= static_cast<u64>(src[i]) << (8 * i);
+        }
+        return value;
+    }
     for (unsigned i = 0; i < bytes; ++i)
         value |= static_cast<u64>(readU8(addr + i)) << (8 * i);
     return value;
@@ -52,6 +72,14 @@ MemoryImage::read(Addr addr, unsigned bytes) const
 void
 MemoryImage::write(Addr addr, u64 value, unsigned bytes)
 {
+    if (bytes == 0)
+        return; // touches no byte, so allocates no page
+    if (fitsInPage(addr, bytes)) {
+        u8 *dst = page(addr).data() + (addr & (pageSize - 1));
+        for (unsigned i = 0; i < bytes; ++i)
+            dst[i] = static_cast<u8>(value >> (8 * i));
+        return;
+    }
     for (unsigned i = 0; i < bytes; ++i)
         writeU8(addr + i, static_cast<u8>(value >> (8 * i)));
 }
@@ -76,8 +104,15 @@ MemoryImage::writeF64(Addr addr, double value)
 void
 MemoryImage::load(Addr base, const std::vector<u8> &bytes)
 {
-    for (size_t i = 0; i < bytes.size(); ++i)
-        writeU8(base + i, bytes[i]);
+    // One lookup and one copy per page-sized chunk.
+    for (size_t done = 0; done < bytes.size();) {
+        Addr addr = base + done;
+        size_t offset = addr & (pageSize - 1);
+        size_t chunk = std::min(pageSize - offset, bytes.size() - done);
+        std::memcpy(page(addr).data() + offset, bytes.data() + done,
+                    chunk);
+        done += chunk;
+    }
 }
 
 } // namespace carf::emu

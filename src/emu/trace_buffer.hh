@@ -15,7 +15,7 @@
  *  - nextPc of record i is pc of record i+1 — the definition of a
  *    program-order trace — so only the final record's nextPc is kept.
  *
- * That packs a 64-byte DynOp into ~41 bytes per record, and the
+ * That packs a 72-byte DynOp into ~41 bytes per record, and the
  * hot fields touched by fetch/decode into ~9 of them. DynOp records
  * are materialized only at the replay cursor.
  */
