@@ -8,9 +8,9 @@
  * IPC and register file energy for the baseline and the content-aware
  * file across read/write port counts.
  *
- * All seven configurations run as one grouped batch: each workload's
- * trace is decoded once and stepped through every configuration in
- * lockstep.
+ * All seven configurations run as one job batch: each workload's
+ * trace is emulated once into the shared trace cache and replayed
+ * for every configuration.
  */
 
 #include "bench_util.hh"

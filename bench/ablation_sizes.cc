@@ -10,9 +10,9 @@
  *  - issue-stall threshold (pseudo-deadlock avoidance) and the extra
  *    bypass level.
  *
- * All variants run as one grouped batch per suite: each workload's
- * trace is decoded once and stepped through every variant in
- * lockstep.
+ * All variants run as one job batch per suite: each workload's
+ * trace is emulated once into the shared trace cache and replayed
+ * for every variant.
  */
 
 #include "bench_util.hh"

@@ -13,20 +13,13 @@
  *   trace_cache=0     disable the shared trace cache (default on;
  *                     results are bit-identical either way)
  *   trace_cache_mb=N  cache byte budget in MiB (default 512)
- *   lockstep=0        disable config-parallel lockstep replay
- *                     (default on; results are bit-identical either
- *                     way — lockstep=0 is for A/B wall-time runs)
- *   lockstep_group=N  cap lockstep groups at N pipeline lanes
- *                     (default 0 = unbounded)
  *   fast_path=0       disable the exact idle-cycle skip (default on;
  *                     results are bit-identical either way —
  *                     fast_path=0 is for A/B wall-time runs)
  *   sampling_period=N SMARTS-style statistical sampling: instructions
- *                     per period (default 0 = full detail). Implies
- *                     lockstep=0 (sampled lanes alternate functional
- *                     and detailed phases, so there is no shared
- *                     front end). Sampled results are estimates, not
- *                     bit-identical to full runs.
+ *                     per period (default 0 = full detail). Sampled
+ *                     results are estimates, not bit-identical to
+ *                     full runs.
  *   sampling_warmup=N   detailed warm-up instructions per period
  *                       (default 2000)
  *   sampling_measure=N  measured instructions per period
@@ -209,9 +202,6 @@ struct BenchArgs
                 std::make_shared<emu::TraceCache>(budget_mb << 20);
             args.options.traceCache = args.traceCache.get();
         }
-        args.options.lockstep = args.config.getBool("lockstep", true);
-        args.options.lockstepMaxGroup = static_cast<unsigned>(
-            args.config.getU64("lockstep_group", 0));
         args.options.fastPath = args.config.getBool("fast_path", true);
         args.options.samplingPeriod =
             args.config.getU64("sampling_period", 0);
@@ -219,8 +209,6 @@ struct BenchArgs
             "sampling_warmup", args.options.samplingWarmup);
         args.options.samplingMeasure = args.config.getU64(
             "sampling_measure", args.options.samplingMeasure);
-        if (args.options.samplingPeriod > 0)
-            args.options.lockstep = false;
         args.options.validate();
         std::string store_dir = args.config.getString("store_dir", "");
         if (args.config.getBool("result_store", !store_dir.empty())) {
@@ -325,11 +313,11 @@ struct BenchArgs
 
     /**
      * Run @p suite under every labelled configuration in @p configs
-     * as ONE job batch, so configurations sharing a workload collapse
-     * into lockstep groups (decode once, step every config — see
-     * ExperimentRunner::run). Per-config SuiteRuns come back in
-     * @p configs order, each bit-identical to a lone runSuite() call,
-     * and are recorded into the JSON report under their labels.
+     * as ONE job batch, so the worker pool stays busy across
+     * configurations instead of draining at each suite's tail.
+     * Per-config SuiteRuns come back in @p configs order, each
+     * bit-identical to a lone runSuite() call, and are recorded into
+     * the JSON report under their labels.
      */
     std::vector<sim::SuiteRun>
     runSuites(const std::vector<workloads::Workload> &suite,

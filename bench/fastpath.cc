@@ -217,7 +217,6 @@ main(int argc, char **argv)
     full.fastPath = true;
     sim::SimOptions sampled = full;
     sampled.samplingPeriod = period;
-    sampled.lockstep = false;
     sampled.validate();
 
     Table s_table(strprintf(

@@ -8,9 +8,9 @@
  * content-aware organization climbing toward the baseline as d+n
  * grows: ~98.3% INT / ~99.7% FP at d+n=20.
  *
- * All configurations of a suite go in as one grouped batch, so each
- * workload's trace is decoded once and replayed through every
- * configuration in lockstep (lockstep=0 reverts to per-job runs).
+ * All configurations of a suite go in as one job batch, so each
+ * workload's trace is emulated once into the shared trace cache and
+ * replayed for every configuration.
  */
 
 #include "bench_util.hh"

@@ -5,9 +5,9 @@
  * from the unlimited file (160 regs, 16R/8W) costs almost nothing:
  * 112 registers ~1% IPC, 8 read ports 0.17%, 6 write ports 0.21%.
  *
- * The eleven configurations run as one grouped batch: each workload's
- * trace is decoded once and stepped through every configuration in
- * lockstep.
+ * The eleven configurations run as one job batch: each workload's
+ * trace is emulated once into the shared trace cache and replayed
+ * for every configuration.
  */
 
 #include "bench_util.hh"

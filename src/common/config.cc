@@ -1,6 +1,8 @@
 #include "common/config.hh"
 
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -53,11 +55,17 @@ Config::getU64(const std::string &key, u64 def) const
     auto it = values_.find(key);
     if (it == values_.end())
         return def;
+    const char *text = it->second.c_str();
     char *end = nullptr;
-    u64 v = std::strtoull(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0')
-        fatal("config %s: '%s' is not an unsigned integer",
-              key.c_str(), it->second.c_str());
+    errno = 0;
+    u64 v = std::strtoull(text, &end, 0);
+    // strtoull wraps a leading '-' and saturates on overflow; both
+    // would turn a typo into a near-infinite budget.
+    if (end == text || *end != '\0' || errno == ERANGE ||
+        std::strchr(text, '-'))
+        fatal("config %s: '%s' is not an unsigned integer that fits "
+              "in 64 bits",
+              key.c_str(), text);
     return v;
 }
 
@@ -67,11 +75,13 @@ Config::getI64(const std::string &key, i64 def) const
     auto it = values_.find(key);
     if (it == values_.end())
         return def;
+    const char *text = it->second.c_str();
     char *end = nullptr;
-    i64 v = std::strtoll(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0')
-        fatal("config %s: '%s' is not an integer",
-              key.c_str(), it->second.c_str());
+    errno = 0;
+    i64 v = std::strtoll(text, &end, 0);
+    if (end == text || *end != '\0' || errno == ERANGE)
+        fatal("config %s: '%s' is not an integer that fits in 64 bits",
+              key.c_str(), text);
     return v;
 }
 

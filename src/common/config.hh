@@ -32,7 +32,10 @@ class Config
 
     bool has(const std::string &key) const;
 
-    /** Typed getters with defaults; fatal() on unparsable values. */
+    /**
+     * Typed getters with defaults; fatal() on unparsable values,
+     * values outside 64 bits, and (getU64) any minus sign.
+     */
     std::string getString(const std::string &key,
                           const std::string &def = "") const;
     u64 getU64(const std::string &key, u64 def) const;

@@ -5,12 +5,10 @@
  * Branch prediction consumes the dynamic trace strictly in program
  * order and never reads timing state, so its per-record outcome is a
  * pure function of the instruction stream — independent of the core
- * configuration consuming it. Factoring prediction out of Pipeline
- * into a stream of (DynOp, prediction flags) records lets the
- * lockstep engine (src/sim/lockstep.cc) predict each record once and
- * replay the annotated stream through N pipeline lanes, while the
- * serial path keeps identical behaviour through
- * PredictingFetchStream.
+ * configuration consuming it. Prediction is therefore factored out of
+ * Pipeline into a stream of (DynOp, prediction flags) records:
+ * PredictingFetchStream annotates a trace source, and wrappers such
+ * as the sampling engine's length cap sit between it and the core.
  */
 
 #ifndef CARF_CORE_FETCH_STREAM_HH

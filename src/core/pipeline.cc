@@ -921,7 +921,7 @@ Pipeline::fetchThread(Cycle cur, unsigned tid, unsigned &budget)
 
     // One call consumes at most fetchWidth stream records (each
     // iteration pulls at most one, and at most fetchWidth iterations
-    // make progress); the lockstep chunk pause relies on this bound.
+    // make progress).
     while (budget > 0 && !thread.fetchBuffer.full()) {
         FetchEntry entry;
         if (thread.pendingFetchValid) {

@@ -39,9 +39,7 @@
  *
  * A one-thread Pipeline is also a resumable lane:
  * beginRun()/stepCycle()/finishRun() expose the cycle loop so the
- * lockstep engine (src/sim/lockstep.cc) can interleave many
- * configurations over one decoded FetchStream, and the sampling
- * engine can stop and resume it between functional gaps.
+ * sampling engine can stop and resume it between functional gaps.
  */
 
 #ifndef CARF_CORE_PIPELINE_HH
@@ -206,7 +204,6 @@ class Pipeline
     /** Close the timed window and return the run summary. */
     RunResult finishRun();
 
-    const CoreParams &params() const { return params_; }
     regfile::RegisterFile &intRegFile() { return *intRf_; }
     const regfile::RegisterFile &intRegFile() const { return *intRf_; }
 

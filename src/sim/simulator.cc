@@ -139,10 +139,6 @@ SimOptions::validate() const
               "the live-value oracle (oracleSamplePeriod > 0) — the "
               "oracle needs every cycle of one continuous window");
     }
-    if (lockstep) {
-        fatal("SimOptions: statistical sampling cannot join lockstep "
-              "groups; set lockstep = false for sampled runs");
-    }
     if (fastForward > 0) {
         fatal("SimOptions: fastForward overlaps the sampling engine's "
               "own functional gaps; use samplingPeriod/samplingWarmup/"

@@ -39,14 +39,11 @@ struct SimOptions
      */
     emu::TraceCache *traceCache = nullptr;
     /**
-     * Allow ExperimentRunner to batch this job with others sharing
-     * its workload and run options into one lockstep group (see
-     * simulateGroup()). Results are bit-identical either way; off is
-     * for A/B timing comparisons.
+     * Inert: nothing reads it and the result-store key excludes it.
+     * Kept only because perfbench/src/plan.cc still assigns it; the
+     * next benchmark change deletes that assignment and this field.
      */
     bool lockstep = true;
-    /** Lockstep lanes per group; 0 means unbounded. */
-    unsigned lockstepMaxGroup = 0;
     /**
      * Optional content-addressed result cache (sim/result_store.hh).
      * ExperimentRunner::run() resolves each job's key against it
@@ -84,8 +81,8 @@ struct SimOptions
      * then samplingMeasure measured instructions. The reported
      * cycles/IPC/cycle buckets cover the measured windows only;
      * samplingIpcCi95 carries the 95% confidence half-width over
-     * per-interval IPCs. Solo-pipeline only; requires lockstep=false
-     * and excludes the oracle and fastForward (validate()).
+     * per-interval IPCs. Solo-pipeline only; excludes the oracle and
+     * fastForward (validate()).
      */
     u64 samplingPeriod = 0;
     /** Detailed warm-up instructions at the head of each episode. */
@@ -95,7 +92,7 @@ struct SimOptions
 
     /**
      * Fatal on incompatible option combinations (sampling with the
-     * oracle, lockstep, fast-forward, or a malformed interval shape).
+     * oracle, fast-forward, or a malformed interval shape).
      * Every simulate entry point calls this first.
      */
     void validate() const;
@@ -145,26 +142,6 @@ core::RunResult simulateSmt(const workloads::Workload &workload,
 core::RunResult simulateSampled(const workloads::Workload &workload,
                                 const core::CoreParams &params,
                                 const SimOptions &options);
-
-/**
- * Simulate @p workload under every configuration in @p configs in
- * lockstep over one shared trace replay: each record is decoded and
- * branch-predicted once, then consumed by every per-config pipeline
- * lane (src/sim/lockstep.cc). Results are in @p configs order and
- * bit-identical to calling simulate() per configuration — only the
- * host-time fields differ (the shared front-end cost is split evenly
- * across lanes).
- *
- * Falls back to per-config serial simulate() calls when lockstep
- * cannot share the front end: fewer than two configs, an oracle
- * sampling period, mismatched branch-predictor geometry across
- * configs, or a trace cache that declined to materialize the trace
- * (streaming replay cannot be shared).
- */
-std::vector<core::RunResult>
-simulateGroup(const workloads::Workload &workload,
-              const std::vector<core::CoreParams> &configs,
-              const SimOptions &options = {});
 
 } // namespace carf::sim
 

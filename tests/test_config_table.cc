@@ -86,6 +86,14 @@ TEST(ConfigDeathTest, BadIntegerIsFatal)
     Config c;
     c.set("n", "abc");
     EXPECT_DEATH((void)c.getU64("n", 0), "not an unsigned integer");
+    // strtoull would wrap a sign and saturate on overflow.
+    for (const char *bad : {"-1", "-0x10", "18446744073709551616"}) {
+        c.set("n", bad);
+        EXPECT_DEATH((void)c.getU64("n", 0), "not an unsigned integer")
+            << bad;
+    }
+    c.set("n", "9223372036854775808");
+    EXPECT_DEATH((void)c.getI64("n", 0), "not an integer");
 }
 
 TEST(Table, FormatHelpers)

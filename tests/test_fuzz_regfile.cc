@@ -12,8 +12,6 @@
 
 #include "common/random.hh"
 #include "regfile/content_aware.hh"
-#include "sim/reporting.hh"
-#include "sim/simulator.hh"
 #include "testing/fuzzer.hh"
 
 namespace carf::testing
@@ -380,48 +378,6 @@ TEST(InjectedBug, ShrinkKeepsRequiredContext)
     passing.config = config;
     passing.ops = {{FuzzOpKind::Write, 0, 42}};
     EXPECT_EQ(shrinkCase(passing).ops.size(), 1u);
-}
-
-/**
- * The fuzzer's bounded config set — every registered backend plus the
- * content-aware ablations — replayed through the config-parallel
- * lockstep engine: every register-file variant the oracle
- * model-checks must also be bit-identical between grouped and solo
- * full-pipeline simulation.
- */
-TEST(BoundedFuzz, StandardConfigSetLockstepMatchesSerial)
-{
-    std::vector<core::CoreParams> configs;
-    for (const FuzzConfig &fc : standardFuzzConfigs()) {
-        auto params = core::CoreParams::forBackend(fc.backend);
-        params.ca = fc.ca;
-        params.portRed = fc.portRed;
-        configs.push_back(params);
-    }
-    ASSERT_GE(configs.size(), 4u);
-
-    sim::SimOptions options;
-    options.maxInsts = 15000;
-    auto sans_time = [](const core::RunResult &r) {
-        std::string json = sim::runResultJson(r);
-        auto pos = json.find(",\"wall_seconds\":");
-        EXPECT_NE(pos, std::string::npos);
-        return json.substr(0, pos) + "}";
-    };
-
-    for (const char *name : {"hash_table", "daxpy"}) {
-        const auto &w = workloads::findWorkload(name);
-        auto grouped = sim::simulateGroup(w, configs, options);
-        ASSERT_EQ(grouped.size(), configs.size());
-        for (size_t i = 0; i < configs.size(); ++i) {
-            auto serial = sim::simulate(w, configs[i], options);
-            EXPECT_EQ(sans_time(grouped[i]), sans_time(serial))
-                << name << " config " << i;
-            EXPECT_EQ(grouped[i].issueStallCycles,
-                      serial.issueStallCycles)
-                << name << " config " << i;
-        }
-    }
 }
 
 /** Replay of a failing case is bit-identical run to run. */

@@ -93,7 +93,7 @@ expectSameOp(const DynOp &a, const DynOp &b, u64 index)
     EXPECT_EQ(a.nextPc, b.nextPc) << index;
 }
 
-/** Drain both sources in lockstep, expecting identical streams. */
+/** Drain both sources side by side, expecting identical streams. */
 void
 expectSameStream(TraceSource &a, TraceSource &b)
 {
@@ -499,7 +499,6 @@ TEST(SimulateWithCache, StreamingSplitsHostTimeOnEveryEntryPoint)
     auto smt = sim::simulateSmt(w, smt_params, smt_options);
 
     auto sampled_options = quick(30000);
-    sampled_options.lockstep = false;
     sampled_options.samplingPeriod = 10000;
     auto sampled = sim::simulateSampled(
         w, core::CoreParams::contentAware(20), sampled_options);
@@ -556,10 +555,6 @@ TEST(SimulateWithCache, ConcurrentSweepEmulatesEachWorkloadOnce)
 
     auto cached_options = quick();
     cached_options.traceCache = &cache;
-    // Lockstep grouping would collapse the per-workload jobs into one
-    // acquire each; this test is about the cache's build-once contract
-    // under raw contention, so keep every job independent.
-    cached_options.lockstep = false;
     std::vector<sim::ExperimentJob> jobs;
     for (const auto &params : configs) {
         for (const auto &w : mini)

@@ -5,8 +5,8 @@
  *
  * Reads a file-driven job set (replacing hard-coded bench grids),
  * resolves every job against the store (sim/result_store.hh), runs
- * only the misses — partitioned into config-parallel lockstep groups
- * and sharded across the ExperimentRunner worker pool — and streams
+ * only the misses — sharded across the ExperimentRunner worker
+ * pool, one job per task — and streams
  * one NDJSON line per result to stdout as it lands. Completed results
  * are flushed to the store's shards immediately, so a killed run
  * resumes where it left off: re-invoking with the same store_dir
@@ -27,8 +27,6 @@
  *   quiet=1           suppress per-result streaming lines
  *   trace_cache=0     disable the shared trace cache (default on)
  *   trace_cache_mb=N  trace cache budget (default 512)
- *   lockstep=0        disable lockstep grouping (default on)
- *   lockstep_group=N  cap lockstep group size (default unbounded)
  *   fingerprint=1     print the build fingerprint and exit
  *
  * Sweep-file format: one job template per line; '#' starts a comment.
@@ -297,9 +295,6 @@ main(int argc, char **argv)
 
     sim::SimOptions defaults;
     defaults.maxInsts = config.getU64("insts", 500000);
-    defaults.lockstep = config.getBool("lockstep", true);
-    defaults.lockstepMaxGroup =
-        static_cast<unsigned>(config.getU64("lockstep_group", 0));
     std::shared_ptr<emu::TraceCache> trace_cache;
     if (config.getBool("trace_cache", true)) {
         u64 budget_mb = config.getU64(
