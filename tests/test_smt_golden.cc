@@ -1,12 +1,13 @@
 /**
  * @file
- * SMT golden wall: the stripped full-fidelity JSON of every T=2 and
+ * Golden wall: the stripped full-fidelity JSON of every T=1, T=2 and
  * T=4 run over the benchmark's named SMT mixes, on every built-in
- * register-file backend, is pinned by its SHA-256. A change that only
+ * register-file backend, is pinned by its SHA-256, plus one sampled
+ * content-aware run. T=1 runs the mix's lead workload alone, so those
+ * rows pin the solo core across commits. A change that only
  * restructures or speeds up the core must leave every hash unchanged;
  * a deliberate model change re-pins the table and says which runs
- * moved. (T=1 needs no pins: a one-thread core is the solo core, see
- * tests/test_smt.cc and tests/test_smt_differential.cc.)
+ * moved.
  */
 
 #include <gtest/gtest.h>
@@ -118,6 +119,30 @@ const std::map<std::string, std::string> &
 pinned()
 {
     static const std::map<std::string, std::string> table = {
+        {"T1_hash_table_baseline",
+     "13660b452d2a7cb0a833d722cde17d10b35717f6755a6a4a2b3e18bcc8bbfb09"},
+        {"T1_hash_table_content_aware",
+     "f504ea1360ec4c12ec7c997499a9663d17dfbc96e44871deddb6d136e07e4f6a"},
+        {"T1_hash_table_port_reduction",
+     "508e87bf00941a6d1c67ec9a42b691ff72c0988ce72263e90125b913712b0252"},
+        {"T1_hash_table_unlimited",
+     "b8972e6e1de4f2eca7077b8fadc6b981301b24463332dade7fb412e57361f941"},
+        {"T1_mem_chase_counters_baseline",
+     "db436f8ff152a5bdd01bcff6d73493be43fb498a2600bcfceaa6519759e6ce49"},
+        {"T1_mem_chase_counters_content_aware",
+     "7a19fc65ae63f029c656d836f54bb09582a704b711829ca2706d4e87216245e5"},
+        {"T1_mem_chase_counters_port_reduction",
+     "902f539e818009c589465c1256cc43e9f80352f97df620b888179cde5875cfce"},
+        {"T1_mem_chase_counters_unlimited",
+     "28692f4569ff4023a6d71a67862af709acb7e4d04c08ca963c13ce32f36a8819"},
+        {"T1_crc_daxpy_baseline",
+     "558dc69ab46fa72e2d91d453b5fb85ebc032b5366476d157a8ae50592fd037e3"},
+        {"T1_crc_daxpy_content_aware",
+     "48d5edefb9527486c9cddb33ce00ccee29eac1bad35a1731ab3bdfc04e309477"},
+        {"T1_crc_daxpy_port_reduction",
+     "4b1b4424587fc837daa8f8fc689b0579367f1c04064b3a02e29cbbc09cc9710f"},
+        {"T1_crc_daxpy_unlimited",
+     "2c7094682dc04d98cec24e16459dc94abffa5fb4c4adc4b9406b6ca36639a719"},
         {"T2_hash_table_baseline",
          "73c88edbbee4f156cf5d7e566ca9649d3e0e11156ac5d2d43de20370c9eca371"},
         {"T2_hash_table_content_aware",
@@ -166,6 +191,30 @@ pinned()
          "7a8b8a15eda925bfc49e734d815099aba6135f1f855c83eb1c4c0e53bb67d07a"},
         {"T4_crc_daxpy_unlimited",
          "4ba472cbaa433e138ba705f299e1996339159be58ef1d2d6c7565721c17507e4"},
+        {"T1_hash_table_baseline_all",
+     "f2a21af6f8773e2d67a2b0a0883181e7b115c8e5d3a7bbe7ab4f57cc523680d9"},
+        {"T1_hash_table_content_aware_all",
+     "194e7248d6e0bec3f732c44ebaa7d8321a8f384a4071690466d3c3a902cf9c4d"},
+        {"T1_hash_table_port_reduction_all",
+     "ec0155e6f83e389e3f1f849ed1d2fee4c8253dd3b2bf5981be25593c8af6e6ea"},
+        {"T1_hash_table_unlimited_all",
+     "14e122a70142ed64435fbfdf242dcbf00186451edb52b2ad1ae981747719cc71"},
+        {"T1_mem_chase_counters_baseline_all",
+     "d4ebc2b373e6eae7145012cb89dc1cf3d61eab91a8f454b76700e511c71eecfa"},
+        {"T1_mem_chase_counters_content_aware_all",
+     "7af37b8c8f638ccd89c76fa22cea9410deef88dc8abceaeca50f327a64398612"},
+        {"T1_mem_chase_counters_port_reduction_all",
+     "e2c658f9f5cd06b7818940cf85d934cdd8fa8cdbfa54fa38c86ec8979d416d2f"},
+        {"T1_mem_chase_counters_unlimited_all",
+     "e3fefa331311fa3f8a6b6cd08f1cbece84674a85040da052b37e14b4a56163ed"},
+        {"T1_crc_daxpy_baseline_all",
+     "1033d5f2e2912ec81530576391d11a663d95d1fcab7f66de39179f5fa2d94a19"},
+        {"T1_crc_daxpy_content_aware_all",
+     "08cdddd30906d5f158fa1e3d5f70e595d5311960f185efa43f23d1039d789964"},
+        {"T1_crc_daxpy_port_reduction_all",
+     "3135e32e9cf6a410434789de4412460e9cc3445219f7c321edf6c4c217ec2b84"},
+        {"T1_crc_daxpy_unlimited_all",
+     "33eaf5bc681e8efa63c4e99e6aa35046f10fbe583e2770a6ebb3fea40331a5a6"},
         {"T2_hash_table_baseline_all",
          "715be03b76acf78b9ea42b2cf2362d7bf42f9a7b1524694a7fae519f350c8a26"},
         {"T2_hash_table_content_aware_all",
@@ -260,9 +309,22 @@ TEST_P(SmtGolden, DrainAllRecordsMatchPinnedHash)
     EXPECT_EQ(digest, it->second) << line;
 }
 
+TEST(SoloGolden, SampledContentAwareMatchesPinnedHash)
+{
+    sim::SimOptions options;
+    options.maxInsts = 60000;
+    options.samplingPeriod = 10000;
+    core::RunResult r = sim::simulateSampled(
+        workloads::findWorkload("hash_table"),
+        core::CoreParams::contentAware(), options);
+    std::string digest = Sha256::hashHex(sim::runResultJsonFull(r, false));
+    EXPECT_EQ(digest, "4abf19707a687d302f85a305612195d5"
+                      "4788ed1be59d040e5d97b86097dbec89");
+}
+
 INSTANTIATE_TEST_SUITE_P(
     NamedMixes, SmtGolden,
-    ::testing::Combine(::testing::Values(2u, 4u),
+    ::testing::Combine(::testing::Values(1u, 2u, 4u),
                        ::testing::Values("hash_table",
                                          "mem_chase_counters",
                                          "crc_daxpy"),
