@@ -190,8 +190,8 @@ struct BenchArgs
         args.options.maxInsts = args.config.getU64("insts", 500000);
         args.csv = args.config.getBool("csv", false);
         args.progress = args.config.getBool("progress", false);
-        args.jobs = static_cast<unsigned>(args.config.getU64(
-            "jobs", sim::ExperimentRunner::hardwareJobs()));
+        args.jobs = args.config.getU32(
+            "jobs", sim::ExperimentRunner::hardwareJobs());
         args.runner = sim::ExperimentRunner(args.jobs ? args.jobs : 1);
         if (args.config.getBool("trace_cache", true)) {
             u64 budget_mb =

@@ -30,7 +30,7 @@ runSuiteWithOracle(const std::vector<workloads::Workload> &suite,
 {
     sim::SimOptions options = args.options;
     options.oracleSamplePeriod =
-        static_cast<unsigned>(args.config.getU64("sample", 16));
+        args.config.getU32("sample", 16);
 
     std::vector<std::unique_ptr<sim::LiveValueOracle>> oracles;
     std::vector<sim::ExperimentJob> jobs;

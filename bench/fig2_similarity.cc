@@ -25,7 +25,7 @@ main(int argc, char **argv)
 
     sim::SimOptions options = args.options;
     options.oracleSamplePeriod =
-        static_cast<unsigned>(args.config.getU64("sample", 16));
+        args.config.getU32("sample", 16);
 
     // One job per workload with a private oracle; merging in suite
     // order reproduces the serial shared-oracle accumulation.

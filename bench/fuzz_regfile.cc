@@ -39,8 +39,8 @@ main(int argc, char **argv)
     testing::FuzzGenOptions gen;
     gen.ops = config.getU64("ops", 20000);
     u64 base_seed = config.getU64("seed", 1);
-    unsigned jobs = static_cast<unsigned>(config.getU64(
-        "jobs", sim::ExperimentRunner::hardwareJobs()));
+    unsigned jobs =
+        config.getU32("jobs", sim::ExperimentRunner::hardwareJobs());
     sim::ExperimentRunner runner(jobs ? jobs : 1);
 
     std::vector<testing::FuzzConfig> configs =

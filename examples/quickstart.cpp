@@ -26,8 +26,7 @@ main(int argc, char **argv)
         config.getString("workload", "counters");
     sim::SimOptions options;
     options.maxInsts = config.getU64("insts", 500000);
-    unsigned d_plus_n =
-        static_cast<unsigned>(config.getU64("dplusn", 20));
+    unsigned d_plus_n = config.getU32("dplusn", 20);
 
     const auto &workload = workloads::findWorkload(workload_name);
 

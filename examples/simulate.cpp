@@ -42,20 +42,19 @@ paramsFromConfig(const Config &config)
         params = core::CoreParams::baseline();
     } else if (kind == "ca" || kind == "content-aware") {
         params = core::CoreParams::contentAware(
-            static_cast<unsigned>(config.getU64("dplusn", 20)),
-            static_cast<unsigned>(config.getU64("n", 3)),
-            static_cast<unsigned>(config.getU64("k", 48)));
+            config.getU32("dplusn", 20), config.getU32("n", 3),
+            config.getU32("k", 48));
         params.ca.associativeShort =
             config.getBool("assoc_short", false);
         params.ca.allocShortOnAnyResult =
             config.getBool("alloc_any", false);
-        params.ca.issueStallThreshold = static_cast<unsigned>(
-            config.getU64("stall_threshold", params.issueWidth));
+        params.ca.issueStallThreshold =
+            config.getU32("stall_threshold", params.issueWidth);
         params.extraBypassLevel =
             config.getBool("extra_bypass", true);
     } else if (kind == "port-reduction") {
-        params = core::CoreParams::portReduction(static_cast<unsigned>(
-            config.getU64("shared_read_ports", 4)));
+        params = core::CoreParams::portReduction(
+            config.getU32("shared_read_ports", 4));
     } else if (regfile::registry().find(kind)) {
         // Any other registered backend runs with baseline timing.
         params = core::CoreParams::forBackend(kind);
@@ -65,12 +64,10 @@ paramsFromConfig(const Config &config)
             names += (names.empty() ? "" : "|") + name;
         fatal("unknown config '%s' (%s)", kind.c_str(), names.c_str());
     }
-    params.physIntRegs = static_cast<unsigned>(
-        config.getU64("int_regs", params.physIntRegs));
-    params.intRfReadPorts = static_cast<unsigned>(
-        config.getU64("read_ports", params.intRfReadPorts));
-    params.intRfWritePorts = static_cast<unsigned>(
-        config.getU64("write_ports", params.intRfWritePorts));
+    params.physIntRegs = config.getU32("int_regs", params.physIntRegs);
+    params.intRfReadPorts = config.getU32("read_ports", params.intRfReadPorts);
+    params.intRfWritePorts =
+        config.getU32("write_ports", params.intRfWritePorts);
     return params;
 }
 
@@ -137,8 +134,7 @@ main(int argc, char **argv)
     sim::SimOptions options;
     options.maxInsts = config.getU64("insts", 1000000);
     options.fastForward = config.getU64("ff", 0);
-    options.oracleSamplePeriod =
-        static_cast<unsigned>(config.getU64("oracle", 0));
+    options.oracleSamplePeriod = config.getU32("oracle", 0);
 
     // Record mode: emulate and write a trace file, no timing.
     if (config.has("record")) {

@@ -26,8 +26,7 @@ main(int argc, char **argv)
 
     sim::SimOptions options;
     options.maxInsts = config.getU64("insts", 300000);
-    options.oracleSamplePeriod =
-        static_cast<unsigned>(config.getU64("sample", 8));
+    options.oracleSamplePeriod = config.getU32("sample", 8);
 
     sim::LiveValueOracle oracle({8, 12, 16, 20});
     auto result = sim::simulate(workloads::findWorkload(name),

@@ -69,6 +69,17 @@ Config::getU64(const std::string &key, u64 def) const
     return v;
 }
 
+u32
+Config::getU32(const std::string &key, u32 def) const
+{
+    u64 v = getU64(key, def);
+    if (v > 0xffffffffull)
+        fatal("config %s: '%s' is not an unsigned integer that fits "
+              "in 32 bits",
+              key.c_str(), getString(key, "").c_str());
+    return static_cast<u32>(v);
+}
+
 i64
 Config::getI64(const std::string &key, i64 def) const
 {

@@ -39,6 +39,8 @@ class Config
     std::string getString(const std::string &key,
                           const std::string &def = "") const;
     u64 getU64(const std::string &key, u64 def) const;
+    /** As getU64(), and fatal() past 2^32-1 (32-bit fields). */
+    u32 getU32(const std::string &key, u32 def) const;
     i64 getI64(const std::string &key, i64 def) const;
     double getDouble(const std::string &key, double def) const;
     bool getBool(const std::string &key, bool def) const;

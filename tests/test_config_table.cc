@@ -94,6 +94,11 @@ TEST(ConfigDeathTest, BadIntegerIsFatal)
     }
     c.set("n", "9223372036854775808");
     EXPECT_DEATH((void)c.getI64("n", 0), "not an integer");
+    // 32-bit fields: 2^32 would otherwise wrap to 0 when narrowed.
+    c.set("n", "4294967295");
+    EXPECT_EQ(c.getU32("n", 0), 4294967295u);
+    c.set("n", "4294967296");
+    EXPECT_DEATH((void)c.getU32("n", 0), "fits in 32 bits");
 }
 
 TEST(Table, FormatHelpers)
