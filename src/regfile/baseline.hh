@@ -18,20 +18,23 @@
 namespace carf::regfile
 {
 
-/** Flat 64-bit-per-entry register file. */
+/**
+ * Flat 64-bit-per-entry register file. The data path is final, so
+ * calls through a BaselineRegFile (the core's FP file) bind statically.
+ */
 class BaselineRegFile : public RegisterFile
 {
   public:
     BaselineRegFile(std::string name, unsigned entries);
 
     void reset() override;
-    ReadAccess read(u32 tag) override;
-    WriteAccess write(u32 tag, u64 value) override;
-    void release(u32 tag) override;
+    ReadAccess read(u32 tag) final;
+    void release(u32 tag) final;
+    Peek peek(u32 tag) const final;
 
-    ValueType peekType(u32 tag) const override;
-    u64 peekValue(u32 tag) const override;
-    bool peekLive(u32 tag) const override;
+  protected:
+    WriteAccess doWrite(u32 tag, u64 value, unsigned tid,
+                        bool forced) final;
 
   private:
     struct Entry

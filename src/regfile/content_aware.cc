@@ -17,7 +17,7 @@ registerContentAwareBackend(Registry &r)
           "three-sub-file content-aware organization (paper section 3)",
           [](const std::string &instance, const RegFileParams &params) {
               auto file = std::make_unique<ContentAwareRegFile>(
-                  instance, params.entries, params.ca);
+                  instance, params.entries, params.ca, params.threads);
               file->setPortGeometry(params.readPorts, params.writePorts);
               return std::unique_ptr<RegisterFile>(std::move(file));
           });
@@ -56,7 +56,8 @@ ContentAwareParams::validate() const
 }
 
 ContentAwareRegFile::ContentAwareRegFile(std::string name, unsigned entries,
-                                         const ContentAwareParams &params)
+                                         const ContentAwareParams &params,
+                                         unsigned threads)
     : RegisterFile(std::move(name), entries),
       params_(params),
       shortFile_(params.sim, params.associativeShort),
@@ -69,24 +70,23 @@ ContentAwareRegFile::ContentAwareRegFile(std::string name, unsigned entries,
       shortAllocAttempts_(stats_.addCounter("shortAllocAttempts",
           "address-path Short allocation attempts")),
       shortAllocHits_(stats_.addCounter("shortAllocHits",
-          "address-path Short allocations that found/placed a group"))
+          "address-path Short allocations that found/placed a group")),
+      threads_(threads > 0 ? threads : 1)
 {
     params_.validate();
-    freeLong_.reserve(params_.longEntries);
-    for (u32 i = 0; i < params_.longEntries; ++i)
-        freeLong_.push_back(params_.longEntries - 1 - i);
-    setThreadCount(1);
+    valueTaxonomy_ = true;
+    clearStructures();
 }
 
 void
-ContentAwareRegFile::setThreadCount(unsigned threads)
+ContentAwareRegFile::clearStructures()
 {
-    threadCount_ = threads > 0 ? threads : 1;
-    if (activeThread_ >= threadCount_)
-        activeThread_ = 0;
+    freeLong_.clear();
+    for (u32 i = 0; i < params_.longEntries; ++i)
+        freeLong_.push_back(params_.longEntries - 1 - i);
     shortOwner_.assign(params_.sim.shortEntries(), 0);
-    sharing_.shortHits.assign(threadCount_, 0);
-    sharing_.crossShortHits.assign(threadCount_, 0);
+    sharing_.shortHits.assign(threads_, 0);
+    sharing_.crossShortHits.assign(threads_, 0);
 }
 
 void
@@ -96,10 +96,7 @@ ContentAwareRegFile::reset()
     shortFile_ = ShortFile(params_.sim, params_.associativeShort);
     file_.assign(entries_, Entry{});
     longFile_.assign(params_.longEntries, 0);
-    freeLong_.clear();
-    for (u32 i = 0; i < params_.longEntries; ++i)
-        freeLong_.push_back(params_.longEntries - 1 - i);
-    setThreadCount(threadCount_);
+    clearStructures();
 }
 
 u64
@@ -136,31 +133,20 @@ ContentAwareRegFile::read(u32 tag)
 }
 
 WriteAccess
-ContentAwareRegFile::write(u32 tag, u64 value)
-{
-    return writeImpl(tag, value, false);
-}
-
-WriteAccess
-ContentAwareRegFile::writeForced(u32 tag, u64 value)
-{
-    return writeImpl(tag, value, true);
-}
-
-WriteAccess
-ContentAwareRegFile::writeImpl(u32 tag, u64 value, bool forced)
+ContentAwareRegFile::doWrite(u32 tag, u64 value, unsigned tid, bool forced)
 {
     Entry &entry = file_.at(tag);
     if (entry.live)
         panic("%s: double write of tag %u", name_.c_str(), tag);
 
     const SimilarityParams &sim = params_.sim;
+    tid = thread(tid);
 
     if (params_.allocShortOnAnyResult) {
         unsigned alloc_idx = 0;
         bool fresh = false;
         if (shortFile_.tryAllocate(value, alloc_idx, fresh) && fresh)
-            notePlacement(alloc_idx);
+            shortOwner_[alloc_idx] = tid;
     }
 
     unsigned short_idx = 0;
@@ -181,10 +167,10 @@ ContentAwareRegFile::writeImpl(u32 tag, u64 value, bool forced)
         shortFile_.touch(short_idx);
         // A Short-typed writeback is a hit on the resident group; when
         // the group was first placed by a different hardware thread it
-        // is a cross-thread share (ROADMAP item 5 accounting).
-        ++sharing_.shortHits[activeThread_];
-        if (shortOwner_[short_idx] != activeThread_)
-            ++sharing_.crossShortHits[activeThread_];
+        // is a cross-thread share.
+        ++sharing_.shortHits[tid];
+        if (shortOwner_[short_idx] != tid)
+            ++sharing_.crossShortHits[tid];
         break;
       case ValueType::Long: {
         if (freeLong_.empty()) {
@@ -253,7 +239,7 @@ ContentAwareRegFile::release(u32 tag)
 }
 
 void
-ContentAwareRegFile::noteAddress(u64 addr)
+ContentAwareRegFile::doNoteAddress(u64 addr, unsigned tid)
 {
     ++shortAllocAttempts_;
     unsigned alloc_idx = 0;
@@ -261,7 +247,7 @@ ContentAwareRegFile::noteAddress(u64 addr)
     if (shortFile_.tryAllocate(addr, alloc_idx, fresh)) {
         ++shortAllocHits_;
         if (fresh)
-            notePlacement(alloc_idx);
+            shortOwner_[alloc_idx] = thread(tid);
     }
 }
 
@@ -443,22 +429,18 @@ ContentAwareRegFile::describeExtra() const
                      params_.sim.shortEntries(), params_.longEntries);
 }
 
-ValueType
-ContentAwareRegFile::peekType(u32 tag) const
+RegisterFile::Peek
+ContentAwareRegFile::peek(u32 tag) const
 {
-    return file_.at(tag).type;
+    const Entry &entry = file_.at(tag);
+    return {entry.live, entry.type, reconstruct(entry), entry.subIndex};
 }
 
-u64
-ContentAwareRegFile::peekValue(u32 tag) const
+RegisterFile::Stats
+ContentAwareRegFile::stats() const
 {
-    return reconstruct(file_.at(tag));
-}
-
-bool
-ContentAwareRegFile::peekLive(u32 tag) const
-{
-    return file_.at(tag).live;
+    return {shortFile_.allocations(), longAllocStalls_.value(),
+            recoveries_.value(), sharing_};
 }
 
 } // namespace carf::regfile

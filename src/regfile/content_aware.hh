@@ -52,37 +52,26 @@ struct ContentAwareParams
 class ContentAwareRegFile : public RegisterFile
 {
   public:
+    /**
+     * @param threads hardware threads sharing the file (sizes the
+     *        per-thread Short sharing counters)
+     */
     ContentAwareRegFile(std::string name, unsigned entries,
-                        const ContentAwareParams &params);
+                        const ContentAwareParams &params,
+                        unsigned threads = 1);
 
     void reset() override;
     ReadAccess read(u32 tag) override;
-    WriteAccess write(u32 tag, u64 value) override;
     void release(u32 tag) override;
-    void noteAddress(u64 addr) override;
     bool shouldStallIssue() const override;
     void onRobInterval() override;
-
-    ValueType peekType(u32 tag) const override;
-    u64 peekValue(u32 tag) const override;
-    bool peekLive(u32 tag) const override;
-
-    /**
-     * Pseudo-deadlock recovery (§3.2): complete a stalled Long write
-     * by allocating from an emergency overflow pool. The core calls
-     * this when the ROB head cannot write back for lack of a free
-     * Long entry and no commit can make progress.
-     */
-    WriteAccess writeForced(u32 tag, u64 value) override;
+    Peek peek(u32 tag) const override;
 
     /** Classify @p value against current state, with no side effects. */
     ValueType classifyPeek(u64 value) const override
     {
         return classifyValue(value, params_.sim, shortFile_);
     }
-
-    /** The taxonomy here is the model: drive the operand-mix stats. */
-    bool hasValueTaxonomy() const override { return true; }
 
     unsigned freeLongEntries() const
     {
@@ -103,24 +92,12 @@ class ContentAwareRegFile : public RegisterFile
     const ContentAwareParams &params() const { return params_; }
     const ShortFile &shortFile() const { return shortFile_; }
 
-    /**
-     * Sub-file index of @p tag's current entry (Short or Long file;
-     * 0 for Simple). Debug/testing visibility for the shadow oracle's
-     * reference-count model; counts no access.
-     */
-    unsigned peekSubIndex(u32 tag) const override
-    {
-        return file_.at(tag).subIndex;
-    }
-
+    Stats stats() const override;
     Occupancy occupancy() const override
     {
         return {params_.longEntries - freeLongEntries(),
                 liveShortEntries()};
     }
-    u64 shortAllocWrites() const override { return shortFile_.allocations(); }
-    u64 writeStalls() const override { return longAllocStalls_.value(); }
-    u64 recoveries() const override { return recoveries_.value(); }
 
     std::vector<BankGeometry> banks() const override;
     std::vector<EnergyTerm>
@@ -128,17 +105,6 @@ class ContentAwareRegFile : public RegisterFile
                 u64 short_alloc_writes) const override;
 
     std::string describeExtra() const override;
-
-    // --- SMT thread-context hooks ---
-
-    /** Size the per-thread sharing counters to @p threads. */
-    void setThreadCount(unsigned threads) override;
-    /** Attribute subsequent writes to hardware thread @p tid. */
-    void setActiveThread(unsigned tid) override
-    {
-        activeThread_ = tid < threadCount_ ? tid : 0;
-    }
-    SharingStats sharingStats() const override { return sharing_; }
 
     /**
      * Structural self-check (debug/testing): empty string when every
@@ -173,7 +139,17 @@ class ContentAwareRegFile : public RegisterFile
      */
     ShortFile &debugShortFile() { return shortFile_; }
 
-    u64 longAllocStalls() const { return longAllocStalls_.value(); }
+  protected:
+    /**
+     * The write path. A @p forced write is the §3.2 pseudo-deadlock
+     * recovery: it completes a stalled Long write by allocating from
+     * an emergency overflow pool. The core forces the write when the
+     * ROB head cannot write back for lack of a free Long entry and no
+     * commit can make progress.
+     */
+    WriteAccess doWrite(u32 tag, u64 value, unsigned tid,
+                        bool forced) override;
+    void doNoteAddress(u64 addr, unsigned tid) override;
 
   private:
     struct Entry
@@ -186,10 +162,11 @@ class ContentAwareRegFile : public RegisterFile
         unsigned subIndex = 0;
     };
 
-    WriteAccess writeImpl(u32 tag, u64 value, bool forced);
     u64 reconstruct(const Entry &entry) const;
-    /** Record a fresh Short-group placement by the active thread. */
-    void notePlacement(unsigned idx) { shortOwner_.at(idx) = activeThread_; }
+    /** The thread a write or placement is attributed to. */
+    unsigned thread(unsigned tid) const { return tid < threads_ ? tid : 0; }
+    /** Size the Long free list and the sharing counters afresh. */
+    void clearStructures();
 
     ContentAwareParams params_;
     ShortFile shortFile_;
@@ -203,9 +180,8 @@ class ContentAwareRegFile : public RegisterFile
     stats::Counter &shortAllocAttempts_;
     stats::Counter &shortAllocHits_;
 
-    /** SMT sharing accounting (setThreadCount/setActiveThread). */
-    unsigned threadCount_ = 1;
-    unsigned activeThread_ = 0;
+    /** SMT sharing accounting over the construction-time threads. */
+    unsigned threads_;
     /** Thread whose allocation placed each slot's current group. */
     std::vector<unsigned> shortOwner_;
     SharingStats sharing_;

@@ -37,69 +37,10 @@ PortReductionParams::validate() const
 PortReductionRegFile::PortReductionRegFile(std::string name,
                                            unsigned entries,
                                            const PortReductionParams &params)
-    : BaselineRegFile(std::move(name), entries),
-      params_(params),
-      conflictOps_(stats_.addCounter("portConflictOps",
-          "issue attempts refused for lack of shared read ports")),
-      conflictCycles_(stats_.addCounter("portConflictCycles",
-          "cycles with at least one read-port refusal"))
+    : BaselineRegFile(std::move(name), entries), params_(params)
 {
     params_.validate();
-}
-
-void
-PortReductionRegFile::reset()
-{
-    BaselineRegFile::reset();
-    usedReadPorts_ = 0;
-    conflictThisCycle_ = false;
-}
-
-void
-PortReductionRegFile::beginCycle()
-{
-    usedReadPorts_ = 0;
-    conflictThisCycle_ = false;
-}
-
-bool
-PortReductionRegFile::canServeReads(unsigned n)
-{
-    if (usedReadPorts_ + n <= params_.sharedReadPorts)
-        return true;
-    ++conflictOps_;
-    if (!conflictThisCycle_) {
-        conflictThisCycle_ = true;
-        ++conflictCycles_;
-    }
-    return false;
-}
-
-void
-PortReductionRegFile::consumeReadPorts(unsigned n)
-{
-    if (usedReadPorts_ + n > params_.sharedReadPorts) {
-        panic("%s: %u reads consumed past the %u shared ports",
-              name_.c_str(), usedReadPorts_ + n, params_.sharedReadPorts);
-    }
-    usedReadPorts_ += n;
-}
-
-RegisterFile::PortStats
-PortReductionRegFile::portStats() const
-{
-    return {conflictOps_.value(), conflictCycles_.value()};
-}
-
-std::string
-PortReductionRegFile::checkInvariants() const
-{
-    if (usedReadPorts_ > params_.sharedReadPorts) {
-        return strprintf("%s: %u read ports in use exceeds pool of %u",
-                         name_.c_str(), usedReadPorts_,
-                         params_.sharedReadPorts);
-    }
-    return "";
+    readPortPool_ = params_.sharedReadPorts;
 }
 
 std::vector<BankGeometry>

@@ -8,12 +8,13 @@
  * The scheme banks on operand bypassing: most source operands arrive
  * over the forwarding network and never touch the file, so the
  * average read-port demand is well below the worst case. The model
- * plugs into the core's port-arbitration hook — the pipeline already
- * charges ports only for operands sourced from the file
- * (OperandSource::RegFile), which is exactly the bypass-aware operand
- * filtering the scheme requires — and refuses issue of instructions
- * whose residual file reads exceed the per-cycle pool. Refusals are
- * per-cycle conflict stalls: the instruction retries next cycle.
+ * declares the pool as its readPortPool() trait and the core
+ * arbitrates it: the pipeline charges ports only for operands sourced
+ * from the file (OperandSource::RegFile), which is exactly the
+ * bypass-aware operand filtering the scheme requires, and refuses
+ * issue of instructions whose residual file reads exceed what is left
+ * of the cycle's pool. Refusals are per-cycle conflict stalls: the
+ * instruction retries next cycle.
  *
  * Energy/area/delay win: the array is built with sharedReadPorts
  * read ports instead of the core's full complement, and port count
@@ -48,29 +49,13 @@ class PortReductionRegFile : public BaselineRegFile
     PortReductionRegFile(std::string name, unsigned entries,
                          const PortReductionParams &params);
 
-    void reset() override;
-
-    void beginCycle() override;
-    bool canServeReads(unsigned n) override;
-    void consumeReadPorts(unsigned n) override;
-    PortStats portStats() const override;
-
-    std::string checkInvariants() const override;
-
     std::vector<BankGeometry> banks() const override;
     std::string describeExtra() const override;
 
     const PortReductionParams &params() const { return params_; }
-    /** Read ports already claimed this cycle. */
-    unsigned usedReadPorts() const { return usedReadPorts_; }
 
   private:
     PortReductionParams params_;
-    unsigned usedReadPorts_ = 0;
-    bool conflictThisCycle_ = false;
-
-    stats::Counter &conflictOps_;
-    stats::Counter &conflictCycles_;
 };
 
 } // namespace carf::regfile

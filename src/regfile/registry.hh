@@ -44,6 +44,8 @@ struct RegFileParams
     /** Core-side read/write ports (geometry/energy reporting). */
     unsigned readPorts = 8;
     unsigned writePorts = 6;
+    /** Hardware threads sharing the file (sizes per-thread counters). */
+    unsigned threads = 1;
     /** Content-aware sub-file configuration. */
     ContentAwareParams ca;
     /** Port-reduction pool configuration. */

@@ -84,8 +84,9 @@ LiveValueOracle::sampleCycle(Cycle cycle,
     std::vector<u64> live;
     live.reserve(int_rf.entries());
     for (u32 tag = 0; tag < int_rf.entries(); ++tag) {
-        if (int_rf.peekLive(tag))
-            live.push_back(int_rf.peekValue(tag));
+        regfile::RegisterFile::Peek p = int_rf.peek(tag);
+        if (p.live)
+            live.push_back(p.value);
     }
     ++samples_;
     liveRegSum_ += live.size();

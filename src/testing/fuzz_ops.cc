@@ -30,6 +30,7 @@ FuzzConfig::makeFile(const std::string &name) const
 {
     regfile::RegFileParams params;
     params.entries = entries;
+    params.threads = threads;
     params.ca = ca;
     params.portRed = portRed;
     return regfile::makeRegFile(backend, params, name);

@@ -33,15 +33,12 @@ FuzzHarness::FuzzHarness(const FuzzConfig &config)
       file_(config.makeFile("fuzz")),
       shadow_(makeShadow(*file_, config.entries))
 {
-    if (config_.threads > 1)
-        file_->setThreadCount(config_.threads);
 }
 
 std::string
 FuzzHarness::step(const FuzzOp &op)
 {
-    if (config_.threads > 1)
-        file_->setActiveThread(op.tid % config_.threads);
+    unsigned tid = config_.threads > 1 ? op.tid % config_.threads : 0;
     u32 tag = op.tag % config_.entries;
     switch (op.kind) {
       case FuzzOpKind::Write:
@@ -49,19 +46,19 @@ FuzzHarness::step(const FuzzOp &op)
         // Skipping state-invalid ops (instead of faulting) keeps every
         // subsequence of a failing sequence executable, which makes
         // delta-debugging shrinks sound.
-        if (file_->peekLive(tag))
+        if (file_->peek(tag).live)
             break;
         regfile::WriteAccess access =
             op.kind == FuzzOpKind::WriteForced
-                ? file_->writeForced(tag, op.value)
-                : file_->write(tag, op.value);
+                ? file_->writeForced(tag, op.value, tid)
+                : file_->write(tag, op.value, tid);
         if (!access.stalled)
             shadow_.noteWrite(tag, op.value, access.type,
-                              file_->peekSubIndex(tag));
+                              file_->peek(tag).subIndex);
         break;
       }
       case FuzzOpKind::Read: {
-        if (!file_->peekLive(tag))
+        if (!file_->peek(tag).live)
             break;
         if (!shadow_.live(tag))
             return strprintf("read tag %u: impl live, oracle dead", tag);
@@ -81,7 +78,7 @@ FuzzHarness::step(const FuzzOp &op)
         shadow_.noteRelease(tag);
         break;
       case FuzzOpKind::NoteAddress:
-        file_->noteAddress(op.value);
+        file_->noteAddress(op.value, tid);
         break;
       case FuzzOpKind::RobInterval:
         file_->onRobInterval();
@@ -103,7 +100,7 @@ FuzzHarness::step(const FuzzOp &op)
     if (config_.threads > 1) {
         // Cross-thread accounting sanity on the shared file: a share
         // is a subset of the hits that produced it, per thread.
-        auto sharing = file_->sharingStats();
+        auto sharing = file_->stats().sharing;
         for (size_t t = 0; t < sharing.crossShortHits.size(); ++t) {
             if (t >= sharing.shortHits.size() ||
                 sharing.crossShortHits[t] > sharing.shortHits[t])

@@ -73,20 +73,19 @@ ShadowRegFile::check(const regfile::RegisterFile &file) const
 {
     for (u32 tag = 0; tag < regs_.size(); ++tag) {
         const Reg &reg = regs_[tag];
-        if (file.peekLive(tag) != reg.live)
+        regfile::RegisterFile::Peek impl = file.peek(tag);
+        if (impl.live != reg.live)
             return strprintf("tag %u: impl live=%d oracle live=%d", tag,
-                             file.peekLive(tag) ? 1 : 0,
-                             reg.live ? 1 : 0);
+                             impl.live ? 1 : 0, reg.live ? 1 : 0);
         if (!reg.live)
             continue;
-        if (file.peekValue(tag) != reg.value)
+        if (impl.value != reg.value)
             return strprintf("tag %u: impl value %llx != oracle %llx",
-                             tag,
-                             (unsigned long long)file.peekValue(tag),
+                             tag, (unsigned long long)impl.value,
                              (unsigned long long)reg.value);
-        if (file.peekType(tag) != reg.type)
+        if (impl.type != reg.type)
             return strprintf("tag %u: impl type %s != oracle %s", tag,
-                             valueTypeName(file.peekType(tag)),
+                             valueTypeName(impl.type),
                              valueTypeName(reg.type));
     }
 

@@ -71,7 +71,7 @@ TEST(ShadowRegFile, CrossChecksContentAwareFile)
 
     auto access = file->write(7, 0xdeadbeefcafef00dull);
     shadow.noteWrite(7, 0xdeadbeefcafef00dull, access.type,
-                     ca->peekSubIndex(7));
+                     file->peek(7).subIndex);
     EXPECT_EQ(shadow.check(*file), "");
 
     // A divergence the oracle must flag: drop the implementation's

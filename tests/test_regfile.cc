@@ -33,11 +33,11 @@ TEST(BaselineRegFile, WriteReadRelease)
 {
     BaselineRegFile rf("t", 8);
     rf.write(3, 0x1234);
-    EXPECT_TRUE(rf.peekLive(3));
+    EXPECT_TRUE(rf.peek(3).live);
     auto read = rf.read(3);
     EXPECT_EQ(read.value, 0x1234u);
     rf.release(3);
-    EXPECT_FALSE(rf.peekLive(3));
+    EXPECT_FALSE(rf.peek(3).live);
 }
 
 TEST(BaselineRegFile, CountsAccesses)
@@ -160,8 +160,8 @@ TEST(ContentAware, LongExhaustionStallsWrite)
     rf.write(1, rng.next() | (1ull << 63));
     auto access = rf.write(2, rng.next() | (1ull << 63));
     EXPECT_TRUE(access.stalled);
-    EXPECT_FALSE(rf.peekLive(2));
-    EXPECT_EQ(rf.longAllocStalls(), 1u);
+    EXPECT_FALSE(rf.peek(2).live);
+    EXPECT_EQ(rf.stats().writeStalls, 1u);
 
     // Releasing a long frees an entry; the retry succeeds.
     rf.release(0);
@@ -179,7 +179,7 @@ TEST(ContentAware, ForcedRecoveryOverflowsAndRetires)
     rf.write(0, 0x1111111111111111ull);
     auto access = rf.writeForced(1, 0x2222222222222222ull);
     EXPECT_FALSE(access.stalled);
-    EXPECT_EQ(rf.recoveries(), 1u);
+    EXPECT_EQ(rf.stats().recoveries, 1u);
     EXPECT_EQ(rf.read(1).value, 0x2222222222222222ull);
     // Overflow entries retire on release instead of joining the free
     // list, so capacity is not silently inflated.
@@ -207,7 +207,7 @@ TEST(ContentAware, ShortEntriesProtectedWhileReferenced)
     u64 addr = 0x4013'8000;
     rf.noteAddress(addr);
     rf.write(0, addr);
-    ASSERT_EQ(rf.peekType(0), ValueType::Short);
+    ASSERT_EQ(rf.peek(0).type, ValueType::Short);
     // Many idle ROB intervals: the entry must survive because tag 0
     // still references it (reading it must keep reconstructing).
     for (int i = 0; i < 10; ++i)
@@ -276,7 +276,7 @@ TEST(ContentAware, RecoveryGrowsOverflowPoolAndStaysConsistent)
         auto access = rf.writeForced(2 + i, value);
         EXPECT_FALSE(access.stalled);
         EXPECT_EQ(access.type, ValueType::Long);
-        EXPECT_EQ(rf.recoveries(), i + 1);
+        EXPECT_EQ(rf.stats().recoveries, i + 1);
         EXPECT_EQ(rf.overflowLongEntries(), i + 1);
         EXPECT_EQ(rf.read(2 + i).value, value);
         EXPECT_EQ(rf.checkInvariants(), "");
@@ -288,7 +288,7 @@ TEST(ContentAware, RecoveryGrowsOverflowPoolAndStaysConsistent)
     EXPECT_EQ(rf.freeLongEntries(), 1u);
     auto access = rf.writeForced(9, 0x4444444444444444ull);
     EXPECT_FALSE(access.stalled);
-    EXPECT_EQ(rf.recoveries(), 3u);
+    EXPECT_EQ(rf.stats().recoveries, 3u);
     EXPECT_EQ(rf.overflowLongEntries(), 3u);
 
     // Releasing everything retires the overflow entries permanently
@@ -307,12 +307,12 @@ TEST(ContentAware, CheckInvariantsCatchesRefcountCorruption)
     u64 addr = 0x4013'8000;
     rf.noteAddress(addr);
     rf.write(0, addr + 8);
-    ASSERT_EQ(rf.peekType(0), ValueType::Short);
+    ASSERT_EQ(rf.peek(0).type, ValueType::Short);
     ASSERT_EQ(rf.checkInvariants(), "");
 
     // A leaked reference (e.g.\ a missed dropRef elsewhere) breaks
     // the slot's books.
-    rf.debugShortFile().addRef(rf.peekSubIndex(0));
+    rf.debugShortFile().addRef(rf.peek(0).subIndex);
     std::string err = rf.checkInvariants();
     EXPECT_NE(err.find("refcount"), std::string::npos) << err;
 }
