@@ -35,6 +35,19 @@ TEST(Simulator, FacadeRunsAndLabels)
     EXPECT_EQ(result.committedInsts, 15000u);
 }
 
+TEST(Simulator, FastForwardKeepsWarmUpPlacementsOutOfTheResult)
+{
+    // The functional warm-up places Short groups that no ROB-interval
+    // tick ages; they are not Short-file writes of the timed window,
+    // which here has room for at most one.
+    SimOptions options = quick(1);
+    options.fastForward = 20000;
+    auto result = simulate(workloads::findWorkload("mem_chase"),
+                           core::CoreParams::contentAware(), options);
+    EXPECT_EQ(result.committedInsts, 1u);
+    EXPECT_LE(result.shortFileWrites, 1u);
+}
+
 TEST(Simulator, OracleHookReceivesSamplesThroughFacade)
 {
     SimOptions options = quick();
