@@ -26,7 +26,6 @@
  */
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "bench_util.hh"
 
@@ -108,8 +107,10 @@ main(int argc, char **argv)
     std::vector<unsigned> thread_counts;
     for (const std::string &t :
          splitList(args.config.getString("smt_threads", "1,2,4,8"))) {
-        unsigned n = static_cast<unsigned>(std::strtoul(t.c_str(),
-                                                        nullptr, 10));
+        // One key per list item: the validated 32-bit parser.
+        Config item;
+        item.set("smt_threads", t);
+        unsigned n = item.getU32("smt_threads", 0);
         if (!n)
             fatal("smt_threads=: '%s' is not a positive thread count",
                   t.c_str());
