@@ -58,8 +58,8 @@ struct FuzzOp
     u32 tag = 0;
     u64 value = 0;
     /**
-     * Issuing hardware thread (multithreaded mode): the harness sets
-     * the file's active thread before applying the op. 0 in
+     * Issuing hardware thread (multithreaded mode): the harness passes
+     * it to the file's write and noteAddress calls. 0 in
      * single-threaded cases; serialized as a leading index on the op
      * line only when nonzero, so old seed files parse unchanged.
      */
