@@ -79,6 +79,7 @@ main(int argc, char **argv)
 {
     auto args =
         bench::BenchArgs::parse("ablation_memory_locality", argc, argv);
+    args.rejectUnreadKeys();
     bench::printHeader(
         "Memory-stream partial value locality (§6 future direction)",
         "addresses and data both exhibit considerable partial value "

@@ -22,6 +22,7 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::BenchArgs::parse("ablation_ports", argc, argv);
+    args.rejectUnreadKeys();
     bench::printHeader(
         "Port reduction x organization (INT suite)",
         "port reduction is orthogonal; extra savings on the CA file "

@@ -78,21 +78,6 @@ fairness(const core::RunResult &r)
     return hi > 0.0 ? lo / hi : 0.0;
 }
 
-std::vector<std::string>
-splitList(const std::string &csv)
-{
-    std::vector<std::string> out;
-    for (size_t start = 0; start < csv.size();) {
-        size_t comma = csv.find(',', start);
-        if (comma == std::string::npos)
-            comma = csv.size();
-        if (comma > start)
-            out.push_back(csv.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
-}
-
 } // namespace
 
 int
@@ -106,7 +91,7 @@ main(int argc, char **argv)
 
     std::vector<unsigned> thread_counts;
     for (const std::string &t :
-         splitList(args.config.getString("smt_threads", "1,2,4,8"))) {
+         args.config.getList("smt_threads", "1,2,4,8")) {
         // One key per list item: the validated 32-bit parser.
         Config item;
         item.set("smt_threads", t);
@@ -117,12 +102,13 @@ main(int argc, char **argv)
         thread_counts.push_back(n);
     }
 
-    std::vector<std::string> mix = splitList(
-        args.config.getString("mix", "counters,crc,hash_table,rle"));
+    std::vector<std::string> mix =
+        args.config.getList("mix", "counters,crc,hash_table,rle");
     if (mix.empty())
         fatal("mix=: need at least one workload name");
     for (const std::string &name : mix)
         workloads::findWorkload(name); // fatal on unknown names
+    args.rejectUnreadKeys();
 
     // Thread 0 runs mix[0]; simulateSmt assigns thread t > 0 from
     // smtMix[(t-1) % len], so rotating the mix by one gives thread t

@@ -48,6 +48,10 @@
  *                     "carf_result_store" (result_store=0 disables an
  *                     explicit store_dir=).
  *
+ * A harness reads its own keys after parse(), then calls
+ * rejectUnreadKeys() before its first simulation: any key it did not
+ * read is fatal.
+ *
  * Tables printed through printTable() and suite runs executed through
  * BenchArgs::runSuite() are also captured into a machine-readable
  * per-harness JSON report; call args.writeReport() at the end of
@@ -181,6 +185,8 @@ struct BenchArgs
      */
     mutable bool regfileOverrideConsumed = false;
     mutable BenchReport report;
+    /** Where the JSON report goes (out= key). */
+    std::string reportPath;
 
     static BenchArgs
     parse(const char *bench_name, int argc, char **argv)
@@ -218,21 +224,22 @@ struct BenchArgs
                 store_dir, buildFingerprint());
             args.options.resultStore = args.resultStore.get();
         }
-        std::string regfile = args.config.getString("regfile", "");
-        for (size_t start = 0; start < regfile.size();) {
-            size_t comma = regfile.find(',', start);
-            if (comma == std::string::npos)
-                comma = regfile.size();
-            std::string name = regfile.substr(start, comma - start);
-            if (!name.empty()) {
-                regfile::registry().at(name); // fatal on unknown names
-                args.regfileOverrides.push_back(name);
-            }
-            start = comma + 1;
+        for (const std::string &name : args.config.getList("regfile", "")) {
+            regfile::registry().at(name); // fatal on unknown names
+            args.regfileOverrides.push_back(name);
         }
+        args.reportPath = args.config.getString(
+            "out", "BENCH_" + std::string(bench_name) + ".json");
         args.report.begin(bench_name, args.runner.jobs(),
                           args.options.maxInsts);
         return args;
+    }
+
+    /** Config::rejectUnreadKeys() under this harness's name. */
+    void
+    rejectUnreadKeys() const
+    {
+        config.rejectUnreadKeys(report.name());
     }
 
     /**
@@ -356,19 +363,11 @@ struct BenchArgs
         return runs;
     }
 
-    /** Where the JSON report goes (out= override). */
-    std::string
-    reportPath() const
-    {
-        return config.getString("out", "BENCH_" + report.name() +
-                                           ".json");
-    }
-
     void
     writeReport() const
     {
-        report.write(reportPath());
-        std::printf("wrote %s\n", reportPath().c_str());
+        report.write(reportPath);
+        std::printf("wrote %s\n", reportPath.c_str());
         // Stderr, so table-equivalence diffs of captured stdout stay
         // clean across cold and warm runs.
         if (resultStore) {

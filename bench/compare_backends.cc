@@ -24,6 +24,7 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::BenchArgs::parse("compare_backends", argc, argv);
+    args.rejectUnreadKeys();
     bench::printHeader(
         "Backend zoo: IPC / access / energy / area / delay per "
         "registered register-file model",

@@ -68,6 +68,13 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::BenchArgs::parse("fastpath", argc, argv);
+    std::string skip_suite =
+        args.config.getString("skip_suite", "both");
+    double min_speedup = args.config.getDouble("min_speedup", 0.0);
+    u64 period = args.config.getU64("sampling_period", 10000);
+    double max_err = args.config.getDouble("max_ipc_err", 0.0);
+    double min_samp = args.config.getDouble("min_sampling_speedup", 0.0);
+    args.rejectUnreadKeys();
     bench::printHeader(
         "Fast-path engine: exact idle-cycle skip + SMARTS sampling",
         "simulator engineering (no paper figure); results must stay "
@@ -80,8 +87,6 @@ main(int argc, char **argv)
     // no store) so the wall-clock numbers are honest single-thread
     // measurements; the shared trace cache keeps trace construction
     // out of both sides.
-    std::string skip_suite =
-        args.config.getString("skip_suite", "both");
     std::vector<workloads::Workload> section1;
     if (skip_suite == "stall" || skip_suite == "both")
         for (const auto &w : workloads::stallSuite())
@@ -202,7 +207,6 @@ main(int argc, char **argv)
     if (stall_n)
         std::printf("stall-suite geomean speedup: %.2fx\n\n",
                     stall_geomean);
-    double min_speedup = args.config.getDouble("min_speedup", 0.0);
     if (min_speedup > 0.0 && stall_geomean < min_speedup)
         fatal("fastpath: stall-suite geomean speedup %.2fx below "
               "required %.2fx",
@@ -211,7 +215,6 @@ main(int argc, char **argv)
     // Section 2: sampled vs full detailed runs. The full runs keep
     // the skip enabled — sampling must beat the *already accelerated*
     // simulator to earn its accuracy loss.
-    u64 period = args.config.getU64("sampling_period", 10000);
     sim::SimOptions full = args.options;
     full.samplingPeriod = 0;
     full.fastPath = true;
@@ -268,11 +271,9 @@ main(int argc, char **argv)
     std::printf("sampling: worst IPC error %.2f%%, geomean speedup "
                 "%.2fx\n\n",
                 err_worst * 100.0, samp_geomean);
-    double max_err = args.config.getDouble("max_ipc_err", 0.0);
     if (max_err > 0.0 && err_worst > max_err)
         fatal("fastpath: sampled IPC error %.4f above allowed %.4f",
               err_worst, max_err);
-    double min_samp = args.config.getDouble("min_sampling_speedup", 0.0);
     if (min_samp > 0.0 && samp_geomean < min_samp)
         fatal("fastpath: sampling geomean speedup %.2fx below "
               "required %.2fx",

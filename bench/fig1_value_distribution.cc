@@ -28,15 +28,11 @@ sim::LiveValueOracle
 runSuiteWithOracle(const std::vector<workloads::Workload> &suite,
                    const bench::BenchArgs &args, const char *label)
 {
-    sim::SimOptions options = args.options;
-    options.oracleSamplePeriod =
-        args.config.getU32("sample", 16);
-
     std::vector<std::unique_ptr<sim::LiveValueOracle>> oracles;
     std::vector<sim::ExperimentJob> jobs;
     for (const auto &w : suite) {
         oracles.push_back(std::make_unique<sim::LiveValueOracle>());
-        jobs.push_back({w, core::CoreParams::baseline(), options,
+        jobs.push_back({w, core::CoreParams::baseline(), args.options,
                         label, oracles.back().get()});
     }
     sim::SuiteRun run;
@@ -71,6 +67,8 @@ main(int argc, char **argv)
 {
     auto args =
         bench::BenchArgs::parse("fig1_value_distribution", argc, argv);
+    args.options.oracleSamplePeriod = args.config.getU32("sample", 16);
+    args.rejectUnreadKeys();
     bench::printHeader(
         "Figure 1: distribution of live integer data values",
         "SPECint: top value 14%, REST 55%; SPECfp: REST 63%");

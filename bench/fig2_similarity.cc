@@ -26,6 +26,7 @@ main(int argc, char **argv)
     sim::SimOptions options = args.options;
     options.oracleSamplePeriod =
         args.config.getU32("sample", 16);
+    args.rejectUnreadKeys();
 
     // One job per workload with a private oracle; merging in suite
     // order reproduces the serial shared-oracle accumulation.

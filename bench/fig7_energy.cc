@@ -20,6 +20,7 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::BenchArgs::parse("fig7_energy", argc, argv);
+    args.rejectUnreadKeys();
     bench::printHeader(
         "Figure 7: relative register file energy vs d+n",
         "baseline ~48.8% of unlimited; content-aware ~half of baseline");

@@ -16,6 +16,7 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::BenchArgs::parse("fig8_area", argc, argv);
+    args.rejectUnreadKeys();
     bench::printHeader(
         "Figure 8: relative register file area vs d+n",
         "content-aware total = 82.1% of baseline at d+n=20");

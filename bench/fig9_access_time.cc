@@ -19,6 +19,7 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::BenchArgs::parse("fig9_access_time", argc, argv);
+    args.rejectUnreadKeys();
     bench::printHeader(
         "Figure 9: relative access time of the register files vs d+n",
         "all sub-files faster than baseline; up to ~15% clock headroom");

@@ -41,6 +41,8 @@ main(int argc, char **argv)
     u64 base_seed = config.getU64("seed", 1);
     unsigned jobs =
         config.getU32("jobs", sim::ExperimentRunner::hardwareJobs());
+    const std::string out = config.getString("out");
+    config.rejectUnreadKeys("fuzz_regfile");
     sim::ExperimentRunner runner(jobs ? jobs : 1);
 
     std::vector<testing::FuzzConfig> configs =
@@ -84,9 +86,10 @@ main(int argc, char **argv)
                 continue;
 
             const testing::FuzzFailure &failure = *results[i].failure;
-            std::string path = config.getString(
-                "out", strprintf("fuzz_fail_%llu.carfseed",
-                                 (unsigned long long)seeds[i]));
+            std::string path =
+                !out.empty() ? out
+                             : strprintf("fuzz_fail_%llu.carfseed",
+                                         (unsigned long long)seeds[i]);
             std::string error;
             if (!results[i].shrunk.writeFile(path, &error))
                 warn("cannot write failing seed: %s", error.c_str());

@@ -84,7 +84,9 @@ main(int argc, char **argv)
     std::string store_dir =
         args.config.getString("sweep_dir", "BENCH_sweep_store.store");
     double min_speedup = args.config.getDouble("min_speedup", 0.0);
-    if (args.config.getBool("fresh", true))
+    bool fresh = args.config.getBool("fresh", true);
+    args.rejectUnreadKeys();
+    if (fresh)
         std::filesystem::remove_all(store_dir);
 
     std::vector<std::pair<std::string, core::CoreParams>> configs = {

@@ -19,6 +19,7 @@ main(int argc, char **argv)
 {
     auto args =
         bench::BenchArgs::parse("tab1_baseline_selection", argc, argv);
+    args.rejectUnreadKeys();
     bench::printHeader(
         "§4: baseline register file selection (INT suite)",
         "112 regs cost ~1%; 8R costs 0.17%; 6W costs 0.21% vs "

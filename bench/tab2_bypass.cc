@@ -17,6 +17,7 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::BenchArgs::parse("tab2_bypass", argc, argv);
+    args.rejectUnreadKeys();
     bench::printHeader(
         "Table 2: percentage of bypassed operands",
         "baseline INT 38.1% / FP 21.1%; content-aware 47.9% / 28.4%");

@@ -16,6 +16,7 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::BenchArgs::parse("tab3_access_energy", argc, argv);
+    args.rejectUnreadKeys();
     bench::printHeader(
         "Table 3: single-access energy normalized to unlimited",
         "at d+n=20: simple 10.8%, short 2.9%, long 16.9%; "

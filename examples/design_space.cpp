@@ -40,6 +40,7 @@ main(int argc, char **argv)
     sim::SimOptions options;
     options.maxInsts = config.getU64("insts", 300000);
     const bool use_fp = config.getString("suite", "int") == "fp";
+    config.rejectUnreadKeys("design_space");
     const auto &suite =
         use_fp ? workloads::fpSuite() : workloads::intSuite();
 

@@ -3,12 +3,14 @@
  * Quickstart: simulate one workload on the baseline and content-aware
  * register files and print the headline comparison.
  *
- * Usage: quickstart [workload=counters] [insts=500000] [dplusn=20]
+ * Usage: quickstart [workload=counters] [insts=500000] [d_plus_n=20]
+ * plus the other content-aware and window keys of sim::configureRun().
  */
 
 #include <cstdio>
 
 #include "common/config.hh"
+#include "common/logging.hh"
 #include "energy/report.hh"
 #include "sim/frequency.hh"
 #include "sim/reporting.hh"
@@ -24,14 +26,17 @@ main(int argc, char **argv)
 
     const std::string workload_name =
         config.getString("workload", "counters");
+    if (config.has("config"))
+        fatal("quickstart: config= is not a quickstart key; it always "
+              "compares content-aware with baseline");
     sim::SimOptions options;
-    options.maxInsts = config.getU64("insts", 500000);
-    unsigned d_plus_n = config.getU32("dplusn", 20);
+    options.maxInsts = 500000;
+    auto ca_params = sim::configureRun(config, options, "content-aware");
+    config.rejectUnreadKeys("quickstart");
 
     const auto &workload = workloads::findWorkload(workload_name);
 
     auto baseline_params = core::CoreParams::baseline();
-    auto ca_params = core::CoreParams::contentAware(d_plus_n);
 
     std::printf("workload: %s, budget: %llu instructions\n\n",
                 workload_name.c_str(),

@@ -2,23 +2,24 @@
  * @file
  * Full-surface simulator driver: any workload, any register file
  * organization, every option — the binary a downstream user scripts
- * against.
+ * against. Core and window keys are sim::configureRun()'s, as in
+ * carf_sweep files; an unknown or inapplicable key is fatal.
  *
  * Usage examples:
- *   simulate workload=pointer_chase config=ca insts=1000000
- *   simulate workload=crc config=baseline ff=500000 insts=500000
- *   simulate workload=graph_walk config=ca dplusn=24 k=56 oracle=16
+ *   simulate workload=pointer_chase config=content-aware insts=1000000
+ *   simulate workload=crc config=baseline fast_forward=500000 insts=500000
+ *   simulate workload=graph_walk config=content-aware d_plus_n=24 long=56
+ *            stall=4 oracle=16
  *   simulate workload=crc config=port-reduction shared_read_ports=3
  *   simulate workload=daxpy record=/tmp/daxpy.carftrc insts=200000
- *   simulate replay=/tmp/daxpy.carftrc config=ca
- *   simulate workload=counters smt_with=crc config=ca
+ *   simulate replay=/tmp/daxpy.carftrc config=content-aware
+ *   simulate workload=counters smt_with=crc config=content-aware
  *   simulate list=1                  # list available workloads
  */
 
 #include <cstdio>
 
 #include "common/config.hh"
-#include "common/logging.hh"
 #include "core/pipeline.hh"
 #include "emu/trace_file.hh"
 #include "energy/report.hh"
@@ -30,46 +31,6 @@ using namespace carf;
 
 namespace
 {
-
-core::CoreParams
-paramsFromConfig(const Config &config)
-{
-    std::string kind = config.getString("config", "baseline");
-    core::CoreParams params;
-    if (kind == "unlimited") {
-        params = core::CoreParams::unlimited();
-    } else if (kind == "baseline") {
-        params = core::CoreParams::baseline();
-    } else if (kind == "ca" || kind == "content-aware") {
-        params = core::CoreParams::contentAware(
-            config.getU32("dplusn", 20), config.getU32("n", 3),
-            config.getU32("k", 48));
-        params.ca.associativeShort =
-            config.getBool("assoc_short", false);
-        params.ca.allocShortOnAnyResult =
-            config.getBool("alloc_any", false);
-        params.ca.issueStallThreshold =
-            config.getU32("stall_threshold", params.issueWidth);
-        params.extraBypassLevel =
-            config.getBool("extra_bypass", true);
-    } else if (kind == "port-reduction") {
-        params = core::CoreParams::portReduction(
-            config.getU32("shared_read_ports", 4));
-    } else if (regfile::registry().find(kind)) {
-        // Any other registered backend runs with baseline timing.
-        params = core::CoreParams::forBackend(kind);
-    } else {
-        std::string names;
-        for (const std::string &name : regfile::registry().names())
-            names += (names.empty() ? "" : "|") + name;
-        fatal("unknown config '%s' (%s)", kind.c_str(), names.c_str());
-    }
-    params.physIntRegs = config.getU32("int_regs", params.physIntRegs);
-    params.intRfReadPorts = config.getU32("read_ports", params.intRfReadPorts);
-    params.intRfWritePorts =
-        config.getU32("write_ports", params.intRfWritePorts);
-    return params;
-}
 
 void
 printResult(const core::RunResult &result,
@@ -119,7 +80,19 @@ main(int argc, char **argv)
     Config config;
     config.parseArgs(argc, argv);
 
-    if (config.getBool("list", false)) {
+    sim::SimOptions options;
+    options.maxInsts = 1000000;
+    core::CoreParams params = sim::configureRun(config, options);
+    options.oracleSamplePeriod = config.getU32("oracle", 0);
+    const std::string workload_name =
+        config.getString("workload", "counters");
+    const std::string record = config.getString("record");
+    const std::string replay = config.getString("replay");
+    const std::string smt_with = config.getString("smt_with");
+    const bool list = config.getBool("list", false);
+    config.rejectUnreadKeys("simulate");
+
+    if (list) {
         std::printf("workloads:\n");
         for (const auto &w : workloads::allWorkloads()) {
             std::printf("  %-16s (%s)\n", w.name.c_str(),
@@ -128,46 +101,33 @@ main(int argc, char **argv)
         return 0;
     }
 
-    core::CoreParams params = paramsFromConfig(config);
     std::printf("config: %s\n", sim::describeConfig(params).c_str());
 
-    sim::SimOptions options;
-    options.maxInsts = config.getU64("insts", 1000000);
-    options.fastForward = config.getU64("ff", 0);
-    options.oracleSamplePeriod = config.getU32("oracle", 0);
-
     // Record mode: emulate and write a trace file, no timing.
-    if (config.has("record")) {
-        const auto &workload =
-            workloads::findWorkload(config.getString("workload"));
+    if (!record.empty()) {
+        const auto &workload = workloads::findWorkload(workload_name);
         auto source = workloads::makeTrace(workload, options.maxInsts);
-        u64 written = emu::TraceWriter::record(
-            *source, config.getString("record"));
+        u64 written = emu::TraceWriter::record(*source, record);
         std::printf("recorded %llu instructions of %s to %s\n",
                     (unsigned long long)written,
-                    workload.name.c_str(),
-                    config.getString("record").c_str());
+                    workload.name.c_str(), record.c_str());
         return 0;
     }
 
     // Replay mode: time a previously recorded trace.
-    if (config.has("replay")) {
-        emu::TraceReader reader(config.getString("replay"), "",
-                                options.maxInsts);
+    if (!replay.empty()) {
+        emu::TraceReader reader(replay, "", options.maxInsts);
         core::Pipeline pipeline(params);
         auto result = pipeline.run(reader);
         printResult(result, params);
         return 0;
     }
 
-    const auto &workload =
-        workloads::findWorkload(config.getString("workload",
-                                                 "counters"));
+    const auto &workload = workloads::findWorkload(workload_name);
 
     // SMT mode: co-run a second workload on a shared core.
-    if (config.has("smt_with")) {
-        const auto &other =
-            workloads::findWorkload(config.getString("smt_with"));
+    if (!smt_with.empty()) {
+        const auto &other = workloads::findWorkload(smt_with);
         auto ta = workloads::makeTrace(workload, options.maxInsts);
         auto tb = workloads::makeTrace(other, options.maxInsts);
         core::SmtPipeline smt(params, 2);

@@ -27,6 +27,7 @@ main(int argc, char **argv)
     sim::SimOptions options;
     options.maxInsts = config.getU64("insts", 300000);
     options.oracleSamplePeriod = config.getU32("sample", 8);
+    config.rejectUnreadKeys("value_locality");
 
     sim::LiveValueOracle oracle({8, 12, 16, 20});
     auto result = sim::simulate(workloads::findWorkload(name),

@@ -16,35 +16,17 @@ Config::set(const std::string &key, const std::string &value)
     values_[key] = value;
 }
 
-void
-Config::setU64(const std::string &key, u64 value)
-{
-    values_[key] = std::to_string(value);
-}
-
-void
-Config::setDouble(const std::string &key, double value)
-{
-    std::ostringstream os;
-    os << value;
-    values_[key] = os.str();
-}
-
-void
-Config::setBool(const std::string &key, bool value)
-{
-    values_[key] = value ? "true" : "false";
-}
-
 bool
 Config::has(const std::string &key) const
 {
+    noteRead(key);
     return values_.count(key) != 0;
 }
 
 std::string
 Config::getString(const std::string &key, const std::string &def) const
 {
+    noteRead(key);
     auto it = values_.find(key);
     return it == values_.end() ? def : it->second;
 }
@@ -52,6 +34,7 @@ Config::getString(const std::string &key, const std::string &def) const
 u64
 Config::getU64(const std::string &key, u64 def) const
 {
+    noteRead(key);
     auto it = values_.find(key);
     if (it == values_.end())
         return def;
@@ -80,25 +63,10 @@ Config::getU32(const std::string &key, u32 def) const
     return static_cast<u32>(v);
 }
 
-i64
-Config::getI64(const std::string &key, i64 def) const
-{
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return def;
-    const char *text = it->second.c_str();
-    char *end = nullptr;
-    errno = 0;
-    i64 v = std::strtoll(text, &end, 0);
-    if (end == text || *end != '\0' || errno == ERANGE)
-        fatal("config %s: '%s' is not an integer that fits in 64 bits",
-              key.c_str(), text);
-    return v;
-}
-
 double
 Config::getDouble(const std::string &key, double def) const
 {
+    noteRead(key);
     auto it = values_.find(key);
     if (it == values_.end())
         return def;
@@ -113,6 +81,7 @@ Config::getDouble(const std::string &key, double def) const
 bool
 Config::getBool(const std::string &key, bool def) const
 {
+    noteRead(key);
     auto it = values_.find(key);
     if (it == values_.end())
         return def;
@@ -122,6 +91,12 @@ Config::getBool(const std::string &key, bool def) const
     if (s == "false" || s == "0" || s == "no" || s == "off")
         return false;
     fatal("config %s: '%s' is not a boolean", key.c_str(), s.c_str());
+}
+
+std::vector<std::string>
+Config::getList(const std::string &key, const std::string &def) const
+{
+    return splitList(getString(key, def));
 }
 
 bool
@@ -150,6 +125,50 @@ Config::dump() const
     for (const auto &[k, v] : values_)
         os << k << '=' << v << '\n';
     return os.str();
+}
+
+void
+Config::noteRead(const std::string &key) const
+{
+    if (checked_ && !read_.count(key))
+        panic("config key '%s' read after the unread-key check",
+              key.c_str());
+    read_.insert(key);
+}
+
+void
+Config::rejectUnreadKeys(const std::string &where) const
+{
+    checked_ = true;
+    std::string unread, known;
+    size_t count = 0;
+    for (const auto &kv : values_) {
+        if (read_.count(kv.first))
+            continue;
+        unread += (unread.empty() ? "'" : ", '") + kv.first + "'";
+        ++count;
+    }
+    if (!count)
+        return;
+    for (const std::string &key : read_)
+        known += (known.empty() ? "" : ", ") + key;
+    fatal("%s: unknown key%s %s (keys read: %s)", where.c_str(),
+          count > 1 ? "s" : "", unread.c_str(), known.c_str());
+}
+
+std::vector<std::string>
+splitList(const std::string &csv)
+{
+    std::vector<std::string> out;
+    for (size_t start = 0; start < csv.size();) {
+        size_t comma = csv.find(',', start);
+        if (comma == std::string::npos)
+            comma = csv.size();
+        if (comma > start)
+            out.push_back(csv.substr(start, comma - start));
+        start = comma + 1;
+    }
+    return out;
 }
 
 } // namespace carf

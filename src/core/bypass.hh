@@ -38,6 +38,16 @@ class BypassStats
     u64 totalBypassed() const { return bypassed_[0] + bypassed_[1]; }
     u64 totalRegFile() const { return regFile_[0] + regFile_[1]; }
 
+    BypassStats &
+    operator+=(const BypassStats &other)
+    {
+        for (unsigned c = 0; c < 2; ++c) {
+            bypassed_[c] += other.bypassed_[c];
+            regFile_[c] += other.regFile_[c];
+        }
+        return *this;
+    }
+
     /** Fraction of register operands served by bypass (Table 2). */
     double bypassFraction() const;
 

@@ -8,6 +8,7 @@
 #define CARF_CORE_CORE_STATS_HH
 
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/stats.hh"
@@ -82,6 +83,14 @@ struct ClusterStats
     u64 localOperands = 0;
     /** Operands needing an inter-cluster transfer. */
     u64 crossOperands = 0;
+
+    ClusterStats &
+    operator+=(const ClusterStats &other)
+    {
+        localOperands += other.localOperands;
+        crossOperands += other.crossOperands;
+        return *this;
+    }
 
     double
     crossFraction() const
@@ -238,6 +247,81 @@ struct RunResult
                    : 0.0;
     }
 };
+
+/**
+ * Serialized block of a RunResult field: Core is always present, Smt
+ * only for multithreaded runs (smtThreads > 1), Sampling only for
+ * sampled runs (samplingPeriod > 0), HostTime (nondeterministic host
+ * seconds) only on request.
+ */
+enum class ResultBlock { Core, Smt, Sampling, HostTime };
+
+/**
+ * How SmtResult::aggregate() folds the per-thread records: Sum over
+ * threads, Thread0's value (the shared file's statistics, or a
+ * setting), or Machine-level state set by the aggregate itself.
+ */
+enum class SmtMerge { Sum, Thread0, Machine };
+
+/**
+ * Every serialized RunResult field, once, in serialization order:
+ * visit(json_name, block, merge, get) per field, where merge is a
+ * std::integral_constant<SmtMerge, ...> (a Sum on a type that cannot
+ * be summed fails to compile) and get(result) returns the field of a
+ * const or mutable RunResult by reference. runResultJsonFull(),
+ * parseRunResultJson() and SmtResult::aggregate() are driven by this
+ * list, so a new field is one line here. The fastPathSkips fields are
+ * deliberately absent (see RunResult).
+ */
+template <typename Visit>
+void
+forEachResultField(Visit &&visit)
+{
+#define CARF_FIELD(name, block, merge, member)                            \
+    visit(name, ResultBlock::block,                                       \
+          std::integral_constant<SmtMerge, SmtMerge::merge>{},            \
+          [](auto &r) -> auto & { return r.member; })
+    CARF_FIELD("workload", Core, Machine, workload);
+    CARF_FIELD("config", Core, Thread0, config);
+    CARF_FIELD("cycles", Core, Machine, cycles);
+    CARF_FIELD("committed_insts", Core, Sum, committedInsts);
+    CARF_FIELD("ipc", Core, Machine, ipc);
+    CARF_FIELD("cond_branches", Core, Sum, condBranches);
+    CARF_FIELD("branch_mispredicts", Core, Sum, branchMispredicts);
+    CARF_FIELD("bypass", Core, Sum, bypass);
+    CARF_FIELD("operand_mix", Core, Sum, operandMix.counts);
+    CARF_FIELD("cluster", Core, Sum, cluster);
+    CARF_FIELD("rf_reads", Core, Thread0, intRfAccesses.reads);
+    CARF_FIELD("rf_writes", Core, Thread0, intRfAccesses.writes);
+    CARF_FIELD("short_probe_reads", Core, Thread0,
+               intRfAccesses.shortProbeReads);
+    CARF_FIELD("short_file_writes", Core, Thread0, shortFileWrites);
+    CARF_FIELD("long_alloc_stalls", Core, Sum, longAllocStalls);
+    CARF_FIELD("recoveries", Core, Sum, recoveries);
+    CARF_FIELD("issue_stall_cycles", Core, Sum, issueStallCycles);
+    CARF_FIELD("avg_live_long", Core, Thread0, avgLiveLong);
+    CARF_FIELD("avg_live_short", Core, Thread0, avgLiveShort);
+    CARF_FIELD("port_conflict_ops", Core, Thread0, portConflictOps);
+    CARF_FIELD("port_conflict_cycles", Core, Thread0, portConflictCycles);
+    CARF_FIELD("cycle_buckets", Core, Machine, cycleAccounting.counts);
+    CARF_FIELD("smt_threads", Smt, Machine, smtThreads);
+    CARF_FIELD("smt_thread_insts", Smt, Machine, smtThreadInsts);
+    CARF_FIELD("smt_thread_ipc", Smt, Machine, smtThreadIpc);
+    CARF_FIELD("smt_short_hits", Smt, Machine, smtShortHits);
+    CARF_FIELD("smt_cross_short_hits", Smt, Machine, smtCrossShortHits);
+    CARF_FIELD("smt_max_recovery_wait", Smt, Machine, smtMaxRecoveryWait);
+    CARF_FIELD("sampling_period", Sampling, Thread0, samplingPeriod);
+    CARF_FIELD("sampling_warmup", Sampling, Thread0, samplingWarmup);
+    CARF_FIELD("sampling_measure", Sampling, Thread0, samplingMeasure);
+    CARF_FIELD("sampling_intervals", Sampling, Thread0, samplingIntervals);
+    CARF_FIELD("sampling_skipped_insts", Sampling, Thread0,
+               samplingSkippedInsts);
+    CARF_FIELD("sampling_ipc_ci95", Sampling, Thread0, samplingIpcCi95);
+    CARF_FIELD("wall_seconds", HostTime, Machine, wallSeconds);
+    CARF_FIELD("trace_build_seconds", HostTime, Machine, traceBuildSeconds);
+    CARF_FIELD("sim_seconds", HostTime, Machine, simSeconds);
+#undef CARF_FIELD
+}
 
 } // namespace carf::core
 

@@ -3,17 +3,6 @@
 namespace carf::core
 {
 
-const char *
-regFileKindName(RegFileKind kind)
-{
-    switch (kind) {
-      case RegFileKind::Unlimited: return "unlimited";
-      case RegFileKind::Baseline: return "baseline";
-      case RegFileKind::ContentAware: return "content-aware";
-    }
-    return "?";
-}
-
 CoreParams
 CoreParams::unlimited()
 {

@@ -15,26 +15,6 @@
 namespace carf::core
 {
 
-/**
- * Compatibility shim over registry names: the three organizations the
- * paper compares, for code that predates the backend registry. New
- * code selects a backend by its registered name (CoreParams::
- * regFileBackend); the enum maps one-to-one onto three of those names
- * via regFileKindName().
- */
-enum class RegFileKind
-{
-    /** 160 registers, 16R/8W: effectively unconstrained. */
-    Unlimited,
-    /** 112 registers, 8R/6W (the paper's baseline). */
-    Baseline,
-    /** The content-aware organization of §3. */
-    ContentAware,
-};
-
-/** Registry name of the backend @p kind stands for. */
-const char *regFileKindName(RegFileKind kind);
-
 /** All timing parameters of the out-of-order core. */
 struct CoreParams
 {

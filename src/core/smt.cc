@@ -1,6 +1,8 @@
 #include "core/smt.hh"
 
 #include <algorithm>
+#include <iterator>
+#include <type_traits>
 
 namespace carf::core
 {
@@ -22,6 +24,23 @@ SmtResult::fairness() const
     return hi > 0.0 ? lo / hi : 0.0;
 }
 
+namespace
+{
+
+template <typename T>
+void
+addInto(T &sum, const T &value)
+{
+    if constexpr (std::is_array_v<T>) {
+        for (size_t i = 0; i < std::size(sum); ++i)
+            sum[i] += value[i];
+    } else {
+        sum += value;
+    }
+}
+
+} // namespace
+
 RunResult
 SmtResult::aggregate() const
 {
@@ -29,35 +48,18 @@ SmtResult::aggregate() const
     if (threads.empty())
         return agg;
 
-    // Thread 0 carries the shared-file statistics (access counts,
-    // Short allocation writes, occupancy averages, port conflicts);
-    // start from its record and fold the partners' per-thread
-    // counters in.
+    // Thread 0 carries the shared-file statistics (forEachResultField's
+    // Thread0 fields); start from its record, fold the partners' Sum
+    // fields in, then set the Machine fields.
     agg = threads[0];
-    u64 bypassed_int = agg.bypass.bypassed(false);
-    u64 bypassed_fp = agg.bypass.bypassed(true);
-    u64 regfile_int = agg.bypass.regFileReads(false);
-    u64 regfile_fp = agg.bypass.regFileReads(true);
     for (size_t t = 1; t < threads.size(); ++t) {
-        const RunResult &r = threads[t];
-        agg.workload += "+" + r.workload;
-        agg.committedInsts += r.committedInsts;
-        agg.condBranches += r.condBranches;
-        agg.branchMispredicts += r.branchMispredicts;
-        bypassed_int += r.bypass.bypassed(false);
-        bypassed_fp += r.bypass.bypassed(true);
-        regfile_int += r.bypass.regFileReads(false);
-        regfile_fp += r.bypass.regFileReads(true);
-        for (unsigned b = 0; b < OperandMix::NumBuckets; ++b)
-            agg.operandMix.counts[b] += r.operandMix.counts[b];
-        agg.cluster.localOperands += r.cluster.localOperands;
-        agg.cluster.crossOperands += r.cluster.crossOperands;
-        agg.longAllocStalls += r.longAllocStalls;
-        agg.recoveries += r.recoveries;
-        agg.issueStallCycles += r.issueStallCycles;
+        agg.workload += "+" + threads[t].workload;
+        forEachResultField([&](const char *, ResultBlock, auto merge,
+                               auto get) {
+            if constexpr (decltype(merge)::value == SmtMerge::Sum)
+                addInto(get(agg), get(threads[t]));
+        });
     }
-    agg.bypass.restore(bypassed_int, bypassed_fp, regfile_int,
-                       regfile_fp);
     agg.cycles = cycles;
     agg.cycleAccounting = machineAccounting;
     agg.ipc = cycles ? static_cast<double>(agg.committedInsts) / cycles

@@ -1,7 +1,9 @@
 #include "sim/reporting.hh"
 
+#include <array>
 #include <cstdlib>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.hh"
@@ -103,96 +105,11 @@ runResultJson(const core::RunResult &result)
     return json;
 }
 
-std::string
-runResultJsonFull(const core::RunResult &result, bool include_host_times)
-{
-    const auto &c = result.intRfAccesses;
-    auto u = [](u64 v) {
-        return strprintf("%llu", (unsigned long long)v);
-    };
-    // %.17g round-trips IEEE doubles exactly through a correctly
-    // rounded strtod, which is what "hit returns a bit-identical
-    // RunResult" requires.
-    auto d = [](double v) { return strprintf("%.17g", v); };
-
-    std::string json = "{";
-    json += "\"workload\":" + jsonString(result.workload) + ",";
-    json += "\"config\":" + jsonString(result.config) + ",";
-    json += "\"cycles\":" + u(result.cycles) + ",";
-    json += "\"committed_insts\":" + u(result.committedInsts) + ",";
-    json += "\"ipc\":" + d(result.ipc) + ",";
-    json += "\"cond_branches\":" + u(result.condBranches) + ",";
-    json += "\"branch_mispredicts\":" + u(result.branchMispredicts) + ",";
-    json += "\"bypass\":[" + u(result.bypass.bypassed(false)) + "," +
-            u(result.bypass.bypassed(true)) + "," +
-            u(result.bypass.regFileReads(false)) + "," +
-            u(result.bypass.regFileReads(true)) + "],";
-    json += "\"operand_mix\":[";
-    for (unsigned b = 0; b < core::OperandMix::NumBuckets; ++b)
-        json += (b ? "," : "") + u(result.operandMix.counts[b]);
-    json += "],";
-    json += "\"cluster\":[" + u(result.cluster.localOperands) + "," +
-            u(result.cluster.crossOperands) + "],";
-    json += "\"rf_reads\":[" + u(c.reads[0]) + "," + u(c.reads[1]) + "," +
-            u(c.reads[2]) + "],";
-    json += "\"rf_writes\":[" + u(c.writes[0]) + "," + u(c.writes[1]) +
-            "," + u(c.writes[2]) + "],";
-    json += "\"short_probe_reads\":" + u(c.shortProbeReads) + ",";
-    json += "\"short_file_writes\":" + u(result.shortFileWrites) + ",";
-    json += "\"long_alloc_stalls\":" + u(result.longAllocStalls) + ",";
-    json += "\"recoveries\":" + u(result.recoveries) + ",";
-    json += "\"issue_stall_cycles\":" + u(result.issueStallCycles) + ",";
-    json += "\"avg_live_long\":" + d(result.avgLiveLong) + ",";
-    json += "\"avg_live_short\":" + d(result.avgLiveShort) + ",";
-    json += "\"port_conflict_ops\":" + u(result.portConflictOps) + ",";
-    json += "\"port_conflict_cycles\":" + u(result.portConflictCycles) +
-            ",";
-    json += "\"cycle_buckets\":[";
-    for (unsigned b = 0; b < core::CycleAccounting::NumBuckets; ++b)
-        json += (b ? "," : "") + u(result.cycleAccounting.counts[b]);
-    json += "]";
-    // SMT aggregates only appear for multithreaded runs, keeping solo
-    // records byte-identical to the pre-SMT layout (and a T=1 sweep
-    // byte-identical to a solo sweep).
-    if (result.smtThreads > 1) {
-        json += ",\"smt_threads\":" + u(result.smtThreads);
-        json += ",\"smt_thread_insts\":[";
-        for (size_t t = 0; t < result.smtThreadInsts.size(); ++t)
-            json += (t ? "," : "") + u(result.smtThreadInsts[t]);
-        json += "],\"smt_thread_ipc\":[";
-        for (size_t t = 0; t < result.smtThreadIpc.size(); ++t)
-            json += (t ? "," : "") + d(result.smtThreadIpc[t]);
-        json += "],";
-        json += "\"smt_short_hits\":" + u(result.smtShortHits) + ",";
-        json += "\"smt_cross_short_hits\":" + u(result.smtCrossShortHits) +
-                ",";
-        json += "\"smt_max_recovery_wait\":" + u(result.smtMaxRecoveryWait);
-    }
-    // Sampling block: present only for sampled runs, so full runs
-    // keep the pre-sampling layout byte-identical.
-    if (result.samplingPeriod > 0) {
-        json += ",\"sampling_period\":" + u(result.samplingPeriod);
-        json += ",\"sampling_warmup\":" + u(result.samplingWarmup);
-        json += ",\"sampling_measure\":" + u(result.samplingMeasure);
-        json += ",\"sampling_intervals\":" + u(result.samplingIntervals);
-        json += ",\"sampling_skipped_insts\":" +
-                u(result.samplingSkippedInsts);
-        json += ",\"sampling_ipc_ci95\":" + d(result.samplingIpcCi95);
-    }
-    if (include_host_times) {
-        json += ",\"wall_seconds\":" + d(result.wallSeconds);
-        json += ",\"trace_build_seconds\":" + d(result.traceBuildSeconds);
-        json += ",\"sim_seconds\":" + d(result.simSeconds);
-    }
-    json += "}";
-    return json;
-}
-
 namespace
 {
 
 /**
- * Minimal strict scanner for the fixed runResultJsonFull() layout.
+ * Minimal strict scanner for the runResultJsonFull() layout.
  * Every helper returns false (and poisons the cursor) on mismatch, so
  * a truncated or corrupted line fails cleanly instead of fataling.
  */
@@ -201,11 +118,18 @@ struct JsonCursor
     const char *p;
     const char *end;
 
+    /** Non-consuming lookahead at the remaining input. */
+    bool
+    peek(std::string_view text) const
+    {
+        return static_cast<size_t>(end - p) >= text.size() &&
+               std::string_view(p, text.size()) == text;
+    }
+
     bool
     literal(std::string_view text)
     {
-        if (static_cast<size_t>(end - p) < text.size() ||
-            std::string_view(p, text.size()) != text)
+        if (!peek(text))
             return false;
         p += text.size();
         return true;
@@ -291,149 +215,168 @@ struct JsonCursor
         out = std::strtod(buf, &parse_end);
         return parse_end == buf + n;
     }
-
-    template <typename T, size_t N>
-    bool
-    array(T (&out)[N])
-    {
-        if (!literal("["))
-            return false;
-        for (size_t i = 0; i < N; ++i) {
-            if (i && !literal(","))
-                return false;
-            if (!number(out[i]))
-                return false;
-        }
-        return literal("]");
-    }
-
-    /** Variable-length numeric array (per-thread SMT vectors). */
-    template <typename T>
-    bool
-    array(std::vector<T> &out)
-    {
-        if (!literal("["))
-            return false;
-        out.clear();
-        if (p != end && *p == ']')
-            return literal("]");
-        for (;;) {
-            T v;
-            if (!number(v))
-                return false;
-            out.push_back(v);
-            if (p != end && *p == ',') {
-                ++p;
-                continue;
-            }
-            return literal("]");
-        }
-    }
-
-    /** Non-consuming lookahead at the remaining input. */
-    bool
-    peek(std::string_view text) const
-    {
-        return static_cast<size_t>(end - p) >= text.size() &&
-               std::string_view(p, text.size()) == text;
-    }
 };
 
+// Flat u64 views of the composite counters, serialized as arrays.
+std::array<u64, 4>
+flat(const core::BypassStats &b)
+{
+    return {b.bypassed(false), b.bypassed(true), b.regFileReads(false),
+            b.regFileReads(true)};
+}
+
+std::array<u64, 2>
+flat(const core::ClusterStats &c)
+{
+    return {c.localOperands, c.crossOperands};
+}
+
+void
+unflat(core::BypassStats &b, const std::array<u64, 4> &v)
+{
+    b.restore(v[0], v[1], v[2], v[3]);
+}
+
+void
+unflat(core::ClusterStats &c, const std::array<u64, 2> &v)
+{
+    c = {v[0], v[1]};
+}
+
+/**
+ * Write one field value. Doubles print at %.17g, which round-trips
+ * exactly through a correctly rounded strtod: a store hit is
+ * bit-identical.
+ */
+template <typename T>
+void
+emit(std::string &json, const T &value)
+{
+    if constexpr (std::is_same_v<T, std::string>) {
+        json += jsonString(value);
+    } else if constexpr (std::is_same_v<T, double>) {
+        json += strprintf("%.17g", value);
+    } else if constexpr (std::is_arithmetic_v<T>) {
+        json += strprintf("%llu", (unsigned long long)value);
+    } else if constexpr (requires { flat(value); }) {
+        emit(json, flat(value));
+    } else {
+        json += "[";
+        for (size_t i = 0; i < std::size(value); ++i) {
+            json += i ? "," : "";
+            emit(json, value[i]);
+        }
+        json += "]";
+    }
+}
+
+/** Read one field value written by emit(); false on any mismatch. */
+template <typename T>
+bool
+read(JsonCursor &cur, T &out)
+{
+    if constexpr (std::is_same_v<T, std::string>) {
+        return cur.string(out);
+    } else if constexpr (std::is_same_v<T, unsigned>) {
+        u64 v = 0;
+        if (!cur.number(v) || v > ~0u)
+            return false;
+        out = static_cast<unsigned>(v);
+        return true;
+    } else if constexpr (std::is_arithmetic_v<T>) {
+        return cur.number(out);
+    } else if constexpr (requires { flat(out); }) {
+        decltype(flat(out)) v;
+        if (!read(cur, v))
+            return false;
+        unflat(out, v);
+        return true;
+    } else if constexpr (requires { out.emplace_back(); }) {
+        out.clear();
+        if (!cur.literal("["))
+            return false;
+        if (cur.literal("]"))
+            return true;
+        do {
+            if (!read(cur, out.emplace_back()))
+                return false;
+        } while (cur.literal(","));
+        return cur.literal("]");
+    } else {
+        if (!cur.literal("["))
+            return false;
+        for (size_t i = 0; i < std::size(out); ++i)
+            if ((i && !cur.literal(",")) || !read(cur, out[i]))
+                return false;
+        return cur.literal("]");
+    }
+}
+
+/**
+ * Whether @p block is serialized for @p result: optional blocks appear
+ * only when they carry information, so solo full runs keep the
+ * pre-SMT, pre-sampling layout (and T=1 stays byte-identical to solo).
+ */
+bool
+blockPresent(const core::RunResult &result, core::ResultBlock block,
+             bool include_host_times)
+{
+    switch (block) {
+      case core::ResultBlock::Core: return true;
+      case core::ResultBlock::Smt: return result.smtThreads > 1;
+      case core::ResultBlock::Sampling: return result.samplingPeriod > 0;
+      case core::ResultBlock::HostTime: return include_host_times;
+    }
+    return false;
+}
+
 } // namespace
+
+std::string
+runResultJsonFull(const core::RunResult &result, bool include_host_times)
+{
+    std::string json = "{";
+    core::forEachResultField([&](const char *name,
+                                 core::ResultBlock block, auto,
+                                 auto get) {
+        if (!blockPresent(result, block, include_host_times))
+            return;
+        json += json.size() > 1 ? ",\"" : "\"";
+        json += name;
+        json += "\":";
+        emit(json, get(result));
+    });
+    json += "}";
+    return json;
+}
 
 std::optional<core::RunResult>
 parseRunResultJson(std::string_view json)
 {
     JsonCursor cur{json.data(), json.data() + json.size()};
     core::RunResult r;
-
-    auto str_field = [&](std::string_view key, std::string &out,
-                         bool leading_comma) {
-        return cur.literal(leading_comma ? ",\"" : "\"") &&
-               cur.literal(key) && cur.literal("\":") && cur.string(out);
-    };
-    auto u64_field = [&](std::string_view key, u64 &out) {
-        return cur.literal(",\"") && cur.literal(key) &&
-               cur.literal("\":") && cur.number(out);
-    };
-    auto dbl_field = [&](std::string_view key, double &out) {
-        return cur.literal(",\"") && cur.literal(key) &&
-               cur.literal("\":") && cur.number(out);
-    };
-
-    u64 bypass[4];
-    u64 cluster[2];
-    if (!(cur.literal("{") &&
-          str_field("workload", r.workload, false) &&
-          str_field("config", r.config, true) &&
-          u64_field("cycles", r.cycles) &&
-          u64_field("committed_insts", r.committedInsts) &&
-          dbl_field("ipc", r.ipc) &&
-          u64_field("cond_branches", r.condBranches) &&
-          u64_field("branch_mispredicts", r.branchMispredicts) &&
-          cur.literal(",\"bypass\":") && cur.array(bypass) &&
-          cur.literal(",\"operand_mix\":") &&
-          cur.array(r.operandMix.counts) &&
-          cur.literal(",\"cluster\":") && cur.array(cluster) &&
-          cur.literal(",\"rf_reads\":") &&
-          cur.array(r.intRfAccesses.reads) &&
-          cur.literal(",\"rf_writes\":") &&
-          cur.array(r.intRfAccesses.writes) &&
-          u64_field("short_probe_reads",
-                    r.intRfAccesses.shortProbeReads) &&
-          u64_field("short_file_writes", r.shortFileWrites) &&
-          u64_field("long_alloc_stalls", r.longAllocStalls) &&
-          u64_field("recoveries", r.recoveries) &&
-          u64_field("issue_stall_cycles", r.issueStallCycles) &&
-          dbl_field("avg_live_long", r.avgLiveLong) &&
-          dbl_field("avg_live_short", r.avgLiveShort) &&
-          u64_field("port_conflict_ops", r.portConflictOps) &&
-          u64_field("port_conflict_cycles", r.portConflictCycles) &&
-          cur.literal(",\"cycle_buckets\":") &&
-          cur.array(r.cycleAccounting.counts)))
+    bool ok = cur.literal("{");
+    bool first = true;
+    // An optional block is present iff its first field is.
+    core::ResultBlock open = core::ResultBlock::Core;
+    bool open_present = true;
+    core::forEachResultField([&](const char *name,
+                                 core::ResultBlock block, auto,
+                                 auto get) {
+        if (!ok)
+            return;
+        if (block != open) {
+            open = block;
+            open_present = cur.peek(",\"" + std::string(name) + "\"");
+        }
+        if (!open_present)
+            return;
+        ok = cur.literal(first ? "\"" : ",\"") && cur.literal(name) &&
+             cur.literal("\":") && read(cur, get(r));
+        first = false;
+    });
+    if (!ok || !cur.literal("}") || cur.p != cur.end)
         return std::nullopt;
-
-    // Optional SMT block (multithreaded runs only; solo records keep
-    // the pre-SMT layout).
-    if (cur.peek(",\"smt_threads\"")) {
-        u64 smt_threads = 0;
-        if (!(u64_field("smt_threads", smt_threads) &&
-              cur.literal(",\"smt_thread_insts\":") &&
-              cur.array(r.smtThreadInsts) &&
-              cur.literal(",\"smt_thread_ipc\":") &&
-              cur.array(r.smtThreadIpc) &&
-              u64_field("smt_short_hits", r.smtShortHits) &&
-              u64_field("smt_cross_short_hits", r.smtCrossShortHits) &&
-              u64_field("smt_max_recovery_wait", r.smtMaxRecoveryWait)))
-            return std::nullopt;
-        r.smtThreads = static_cast<unsigned>(smt_threads);
-    }
-
-    // Optional sampling block (sampled runs only).
-    if (cur.peek(",\"sampling_period\"")) {
-        if (!(u64_field("sampling_period", r.samplingPeriod) &&
-              u64_field("sampling_warmup", r.samplingWarmup) &&
-              u64_field("sampling_measure", r.samplingMeasure) &&
-              u64_field("sampling_intervals", r.samplingIntervals) &&
-              u64_field("sampling_skipped_insts",
-                        r.samplingSkippedInsts) &&
-              dbl_field("sampling_ipc_ci95", r.samplingIpcCi95)))
-            return std::nullopt;
-    }
-
-    // Optional host-time tail.
-    if (cur.p != cur.end && *cur.p == ',') {
-        if (!(dbl_field("wall_seconds", r.wallSeconds) &&
-              dbl_field("trace_build_seconds", r.traceBuildSeconds) &&
-              dbl_field("sim_seconds", r.simSeconds)))
-            return std::nullopt;
-    }
-    if (!cur.literal("}") || cur.p != cur.end)
-        return std::nullopt;
-
-    r.bypass.restore(bypass[0], bypass[1], bypass[2], bypass[3]);
-    r.cluster.localOperands = cluster[0];
-    r.cluster.crossOperands = cluster[1];
     return r;
 }
 

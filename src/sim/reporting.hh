@@ -37,9 +37,10 @@ std::string runResultJson(const core::RunResult &result);
 std::string suiteRunJson(const SuiteRun &run);
 
 /**
- * Full-fidelity JSON object for one run: every RunResult field, in a
- * fixed order, with doubles printed at %.17g so parsing recovers the
- * exact bit pattern. This is the result-store value format and the
+ * Full-fidelity JSON object for one run: every field of
+ * core::forEachResultField(), in its order, with doubles printed at
+ * %.17g so parsing recovers the exact bit pattern. The SMT and
+ * sampling blocks appear only for multithreaded and sampled runs. This is the result-store value format and the
  * carf_sweep NDJSON record; runResultJson() above stays the compact
  * report format.
  *
@@ -53,8 +54,8 @@ std::string runResultJsonFull(const core::RunResult &result,
 
 /**
  * Parse a runResultJsonFull() object back into a RunResult.
- * Strict about the fixed field order; the host-time tail is optional
- * (absent fields stay 0). Returns nullopt on any malformed input —
+ * Strict about the field order; the SMT, sampling and host-time
+ * blocks are optional (absent fields keep their defaults). Returns nullopt on any malformed input —
  * the result store treats that as a corrupt shard line and skips it.
  */
 std::optional<core::RunResult>

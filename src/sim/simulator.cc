@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "common/config.hh"
 #include "common/logging.hh"
 #include "core/pipeline.hh"
 
@@ -152,6 +153,44 @@ SimOptions::validate() const
               (unsigned long long)(samplingWarmup + samplingMeasure),
               (unsigned long long)samplingPeriod);
     }
+}
+
+core::CoreParams
+configureRun(const Config &config, SimOptions &options,
+             const std::string &default_backend)
+{
+    std::string backend = config.getString("config", default_backend);
+    regfile::registry().at(backend); // fatal on unknown names
+    core::CoreParams params = core::CoreParams::forBackend(backend);
+    params.physIntRegs = config.getU32("phys_int_regs", params.physIntRegs);
+    params.intRfReadPorts =
+        config.getU32("read_ports", params.intRfReadPorts);
+    params.intRfWritePorts =
+        config.getU32("write_ports", params.intRfWritePorts);
+    if (backend == "content-aware") {
+        auto &ca = params.ca;
+        unsigned n = config.getU32("n", ca.sim.n());
+        unsigned dn = config.getU32("d_plus_n", ca.sim.d() + ca.sim.n());
+        if (n >= dn)
+            fatal("d_plus_n=%u must exceed n=%u", dn, n);
+        ca.sim = regfile::SimilarityParams(dn - n, n);
+        ca.sim.validate();
+        ca.longEntries = config.getU32("long", ca.longEntries);
+        ca.issueStallThreshold =
+            config.getU32("stall", ca.issueStallThreshold);
+        ca.associativeShort =
+            config.getBool("assoc_short", ca.associativeShort);
+        ca.allocShortOnAnyResult =
+            config.getBool("alloc_any", ca.allocShortOnAnyResult);
+        params.extraBypassLevel =
+            config.getBool("extra_bypass", params.extraBypassLevel);
+    } else if (backend == "port-reduction") {
+        params.portRed.sharedReadPorts = config.getU32(
+            "shared_read_ports", params.portRed.sharedReadPorts);
+    }
+    options.maxInsts = config.getU64("insts", options.maxInsts);
+    options.fastForward = config.getU64("fast_forward", options.fastForward);
+    return params;
 }
 
 core::RunResult

@@ -12,6 +12,11 @@
 #include "sim/oracle.hh"
 #include "workloads/workload.hh"
 
+namespace carf
+{
+class Config;
+}
+
 namespace carf::sim
 {
 
@@ -97,6 +102,23 @@ struct SimOptions
      */
     void validate() const;
 };
+
+/**
+ * The core configuration and run window a key=value command line, or
+ * one carf_sweep grid point, asks for; the one spelling of each knob:
+ *   config=NAME (default @p default_backend)
+ *   phys_int_regs=N read_ports=N write_ports=N
+ *   d_plus_n=N n=N long=N stall=N assoc_short=B alloc_any=B
+ *   extra_bypass=B (content-aware only), shared_read_ports=N
+ *   (port-reduction only), insts=N fast_forward=N (into @p options,
+ *   whose values are the defaults).
+ * Another backend's keys stay unread, so Config::rejectUnreadKeys()
+ * rejects them. Unknown backends, 32-bit knobs past 2^32-1, signs and
+ * n >= d_plus_n are fatal.
+ */
+core::CoreParams configureRun(const Config &config, SimOptions &options,
+                              const std::string &default_backend =
+                                  "baseline");
 
 /**
  * Simulate @p workload on a core configured by @p params.

@@ -24,9 +24,9 @@ TEST(Config, SetAndGetString)
 TEST(Config, TypedSettersAndGetters)
 {
     Config c;
-    c.setU64("u", 1234567890123ull);
-    c.setDouble("d", 2.5);
-    c.setBool("b", true);
+    c.set("u", "1234567890123");
+    c.set("d", "2.5");
+    c.set("b", "true");
     EXPECT_EQ(c.getU64("u", 0), 1234567890123ull);
     EXPECT_DOUBLE_EQ(c.getDouble("d", 0.0), 2.5);
     EXPECT_TRUE(c.getBool("b", false));
@@ -36,7 +36,8 @@ TEST(Config, DefaultsWhenAbsent)
 {
     Config c;
     EXPECT_EQ(c.getU64("missing", 7), 7u);
-    EXPECT_EQ(c.getI64("missing", -7), -7);
+    EXPECT_EQ(c.getList("missing", "a,,b"),
+              (std::vector<std::string>{"a", "b"}));
     EXPECT_DOUBLE_EQ(c.getDouble("missing", 1.5), 1.5);
     EXPECT_FALSE(c.getBool("missing", false));
 }
@@ -47,7 +48,7 @@ TEST(Config, HexAndNegativeParsing)
     c.set("hex", "0x40");
     c.set("neg", "-12");
     EXPECT_EQ(c.getU64("hex", 0), 64u);
-    EXPECT_EQ(c.getI64("neg", 0), -12);
+    EXPECT_EQ(c.getDouble("neg", 0), -12.0);
 }
 
 TEST(Config, BoolSpellings)
@@ -92,13 +93,41 @@ TEST(ConfigDeathTest, BadIntegerIsFatal)
         EXPECT_DEATH((void)c.getU64("n", 0), "not an unsigned integer")
             << bad;
     }
-    c.set("n", "9223372036854775808");
-    EXPECT_DEATH((void)c.getI64("n", 0), "not an integer");
     // 32-bit fields: 2^32 would otherwise wrap to 0 when narrowed.
     c.set("n", "4294967295");
     EXPECT_EQ(c.getU32("n", 0), 4294967295u);
     c.set("n", "4294967296");
     EXPECT_DEATH((void)c.getU32("n", 0), "fits in 32 bits");
+}
+
+TEST(Config, RecordsReadKeys)
+{
+    Config c;
+    c.set("a", "1");
+    c.set("b", "x");
+    (void)c.getU64("a", 0);
+    (void)c.has("b");
+    (void)c.getString("absent");
+    EXPECT_EQ(c.readKeys(), (std::set<std::string>{"a", "absent", "b"}));
+    c.rejectUnreadKeys("prog"); // every set key was read
+}
+
+TEST(ConfigDeathTest, UnreadKeysAreFatal)
+{
+    Config c;
+    c.set("insts", "100");
+    c.set("jbos", "4");
+    c.set("dplusnn", "9");
+    (void)c.getU64("insts", 0);
+    (void)c.getBool("csv", false);
+    EXPECT_DEATH(c.rejectUnreadKeys("prog"),
+                 "prog: unknown keys 'dplusnn', 'jbos' \\(keys read: "
+                 "csv, insts\\)");
+    // A key first read after the check would have escaped it.
+    Config late;
+    late.rejectUnreadKeys("prog");
+    EXPECT_DEATH((void)late.getU64("insts", 0),
+                 "read after the unread-key check");
 }
 
 TEST(Table, FormatHelpers)

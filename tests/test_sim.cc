@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/config.hh"
 #include "sim/experiments.hh"
 #include "sim/frequency.hh"
 #include "sim/reporting.hh"
@@ -22,6 +23,18 @@ quick(u64 insts = 15000)
     SimOptions options;
     options.maxInsts = insts;
     return options;
+}
+
+/** configureRun() over "key=value" tokens, every key checked read. */
+core::CoreParams
+configured(std::initializer_list<const char *> tokens, SimOptions &options)
+{
+    Config config;
+    for (const char *token : tokens)
+        config.parseToken(token);
+    core::CoreParams params = configureRun(config, options);
+    config.rejectUnreadKeys("test");
+    return params;
 }
 
 } // namespace
@@ -56,6 +69,54 @@ TEST(Simulator, OracleHookReceivesSamplesThroughFacade)
     simulate(workloads::findWorkload("counters"),
              core::CoreParams::baseline(), options, &oracle);
     EXPECT_GT(oracle.samples(), 100u);
+}
+
+TEST(ConfigureRun, BuildsThePaperConfigurations)
+{
+    SimOptions options;
+    auto ca = configured({"config=content-aware", "d_plus_n=24", "n=3",
+                          "long=56"},
+                         options);
+    auto expect = core::CoreParams::contentAware(24, 3, 56);
+    EXPECT_EQ(ca.ca.sim.d(), expect.ca.sim.d());
+    EXPECT_EQ(ca.ca.longEntries, 56u);
+    EXPECT_EQ(ca.ca.issueStallThreshold, expect.ca.issueStallThreshold);
+    EXPECT_EQ(ca.regReadStages, 2u);
+    auto pr = configured({"config=port-reduction", "shared_read_ports=3"},
+                         options);
+    EXPECT_EQ(pr.portRed.sharedReadPorts, 3u);
+    EXPECT_EQ(configured({}, options).regFileBackend, "baseline");
+    EXPECT_EQ(options.maxInsts, SimOptions{}.maxInsts);
+}
+
+TEST(ConfigureRun, RunWindowIsSixtyFourBits)
+{
+    SimOptions options;
+    configured({"fast_forward=4294967296", "insts=4294967297"}, options);
+    EXPECT_EQ(options.fastForward, 4294967296ull);
+    EXPECT_EQ(options.maxInsts, 4294967297ull);
+}
+
+TEST(ConfigureRunDeathTest, BadKnobsAreFatal)
+{
+    SimOptions options;
+    EXPECT_DEATH(configured({"insts=-1"}, options),
+                 "not an unsigned integer");
+    EXPECT_DEATH(configured({"config=content-aware", "long=4294967296"},
+                            options),
+                 "fits in 32 bits");
+    EXPECT_DEATH(configured({"config=content-aware", "n=8", "d_plus_n=8"},
+                            options),
+                 "must exceed");
+    EXPECT_DEATH(configured({"config=ca"}, options),
+                 "unknown register-file backend 'ca'");
+    // Another backend's keys stay unread, so they are fatal.
+    EXPECT_DEATH(configured({"config=baseline", "d_plus_n=24"}, options),
+                 "unknown key 'd_plus_n'");
+    EXPECT_DEATH(configured({"config=content-aware",
+                             "shared_read_ports=3"},
+                            options),
+                 "unknown key 'shared_read_ports'");
 }
 
 TEST(Experiments, SuiteRunAggregates)

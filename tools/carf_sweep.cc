@@ -33,13 +33,14 @@
  * Each line is whitespace-separated key=value tokens; a comma-
  * separated value list expands as a cross-product with every other
  * list on the line. Keys:
- *   workload=NAME|suite:int|suite:fp|suite:all   (required)
- *   config=BACKEND       registry backend/config name (required;
- *                        CoreParams::forBackend semantics)
- *   d_plus_n=N n=N long=N stall=N   content-aware geometry
- *   shared_read_ports=N  port-reduction pool size
- *   phys_int_regs=N read_ports=N write_ports=N   flat-file geometry
- *   insts=N fast_forward=N          per-job run window
+ *   workload=NAME|suite:int|suite:fp|suite:stall|suite:all  (required)
+ *   config=BACKEND   registered backend name (required)
+ *   and the other core and window keys of sim::configureRun()
+ *   (d_plus_n= long= stall= phys_int_regs= insts= fast_forward= ...),
+ *   spelled as on the simulate command line. Every expanded point
+ *   must read all of its keys, so a misspelled key or a key of another
+ *   backend (config=baseline,content-aware d_plus_n=8) is fatal before
+ *   anything runs.
  *
  * Example:
  *   workload=suite:int config=baseline,unlimited
@@ -50,8 +51,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -62,53 +63,13 @@
 #include "sim/experiment_runner.hh"
 #include "sim/reporting.hh"
 #include "sim/result_store.hh"
+#include "sim/simulator.hh"
 #include "workloads/workload.hh"
 
 using namespace carf;
 
 namespace
 {
-
-std::vector<std::string>
-splitCommas(const std::string &value)
-{
-    std::vector<std::string> out;
-    for (size_t start = 0; start <= value.size();) {
-        size_t comma = value.find(',', start);
-        if (comma == std::string::npos)
-            comma = value.size();
-        if (comma > start)
-            out.push_back(value.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
-}
-
-const char *const kSweepKeys[] = {
-    "workload", "config", "d_plus_n", "n", "long", "stall",
-    "shared_read_ports", "phys_int_regs", "read_ports", "write_ports",
-    "insts", "fast_forward",
-};
-
-bool
-knownSweepKey(const std::string &key)
-{
-    for (const char *k : kSweepKeys)
-        if (key == k)
-            return true;
-    return false;
-}
-
-u64
-parseU64(const std::string &key, const std::string &value)
-{
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(value.c_str(), &end, 0);
-    if (!end || *end != '\0' || value.empty())
-        fatal("carf_sweep: bad value '%s' for key '%s'", value.c_str(),
-              key.c_str());
-    return v;
-}
 
 /** The workloads a sweep-file workload token names. */
 std::vector<workloads::Workload>
@@ -129,51 +90,6 @@ resolveWorkloads(const std::string &token)
     return {workloads::findWorkload(token)};
 }
 
-/** One fully resolved assignment of a line's keys to single values. */
-core::CoreParams
-buildParams(const std::map<std::string, std::string> &kv)
-{
-    auto params = core::CoreParams::forBackend(kv.at("config"));
-    unsigned dn = params.ca.sim.d() + params.ca.sim.n();
-    unsigned n = params.ca.sim.n();
-    bool sim_touched = false;
-    for (const auto &[key, value] : kv) {
-        if (key == "workload" || key == "config")
-            continue;
-        // Every key below is a 32-bit field.
-        u64 v = parseU64(key, value);
-        if (v > 0xffffffffull)
-            fatal("carf_sweep: value '%s' for key '%s' does not fit in 32 "
-                  "bits", value.c_str(), key.c_str());
-        if (key == "d_plus_n") {
-            dn = static_cast<unsigned>(v);
-            sim_touched = true;
-        } else if (key == "n") {
-            n = static_cast<unsigned>(v);
-            sim_touched = true;
-        } else if (key == "long") {
-            params.ca.longEntries = static_cast<unsigned>(v);
-        } else if (key == "stall") {
-            params.ca.issueStallThreshold = static_cast<unsigned>(v);
-        } else if (key == "shared_read_ports") {
-            params.portRed.sharedReadPorts = static_cast<unsigned>(v);
-        } else if (key == "phys_int_regs") {
-            params.physIntRegs = static_cast<unsigned>(v);
-        } else if (key == "read_ports") {
-            params.intRfReadPorts = static_cast<unsigned>(v);
-        } else if (key == "write_ports") {
-            params.intRfWritePorts = static_cast<unsigned>(v);
-        }
-    }
-    if (sim_touched) {
-        if (n >= dn)
-            fatal("carf_sweep: d_plus_n=%u must exceed n=%u", dn, n);
-        params.ca.sim = regfile::SimilarityParams(dn - n, n);
-        params.ca.sim.validate();
-    }
-    return params;
-}
-
 /**
  * Parse @p path into one ExperimentJob per expanded grid point, in
  * file order (lines top to bottom, comma lists left to right, suites
@@ -192,80 +108,55 @@ parseSweepFile(const std::string &path, const sim::SimOptions &defaults)
     size_t line_no = 0;
     while (std::getline(file, line)) {
         ++line_no;
-        size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line.resize(hash);
+        std::string where = strprintf("%s:%zu", path.c_str(), line_no);
 
-        // Tokenize on whitespace.
+        // Whitespace-separated key=value tokens up to any '#'.
+        std::istringstream tokens(line.substr(0, line.find('#')));
         std::vector<std::pair<std::string, std::vector<std::string>>>
             keys;
-        for (size_t pos = 0; pos < line.size();) {
-            while (pos < line.size() &&
-                   (line[pos] == ' ' || line[pos] == '\t'))
-                ++pos;
-            size_t end = pos;
-            while (end < line.size() && line[end] != ' ' &&
-                   line[end] != '\t')
-                ++end;
-            if (end > pos) {
-                std::string token = line.substr(pos, end - pos);
-                size_t eq = token.find('=');
-                if (eq == std::string::npos || eq == 0)
-                    fatal("%s:%zu: token '%s' is not key=value",
-                          path.c_str(), line_no, token.c_str());
-                std::string key = token.substr(0, eq);
-                if (!knownSweepKey(key))
-                    fatal("%s:%zu: unknown sweep key '%s'", path.c_str(),
-                          line_no, key.c_str());
-                keys.emplace_back(key,
-                                  splitCommas(token.substr(eq + 1)));
-                if (keys.back().second.empty())
-                    fatal("%s:%zu: key '%s' has no value", path.c_str(),
-                          line_no, key.c_str());
-            }
-            pos = end;
+        for (std::string token; tokens >> token;) {
+            size_t eq = token.find('=');
+            if (eq == std::string::npos || eq == 0)
+                fatal("%s: token '%s' is not key=value", where.c_str(),
+                      token.c_str());
+            std::string key = token.substr(0, eq);
+            for (const auto &seen : keys)
+                if (seen.first == key)
+                    fatal("%s: duplicate key '%s'", where.c_str(),
+                          key.c_str());
+            keys.emplace_back(key, splitList(token.substr(eq + 1)));
+            if (keys.back().second.empty())
+                fatal("%s: key '%s' has no value", where.c_str(),
+                      key.c_str());
         }
         if (keys.empty())
             continue;
 
-        std::map<std::string, std::string> kv;
-        for (const auto &[key, values] : keys) {
-            (void)values;
-            if (kv.count(key))
-                fatal("%s:%zu: duplicate key '%s'", path.c_str(),
-                      line_no, key.c_str());
-            kv[key] = "";
-        }
-        if (!kv.count("workload") || !kv.count("config"))
-            fatal("%s:%zu: every job line needs workload= and config=",
-                  path.c_str(), line_no);
-
         // Cross-product expansion, first key outermost.
-        std::vector<std::map<std::string, std::string>> combos{{}};
+        std::vector<Config> combos(1);
         for (const auto &[key, values] : keys) {
-            std::vector<std::map<std::string, std::string>> next;
+            std::vector<Config> next;
             next.reserve(combos.size() * values.size());
-            for (const auto &combo : combos) {
+            for (const Config &combo : combos) {
                 for (const std::string &value : values) {
-                    auto extended = combo;
-                    extended[key] = value;
-                    next.push_back(std::move(extended));
+                    next.push_back(combo);
+                    next.back().set(key, value);
                 }
             }
             combos = std::move(next);
         }
 
-        for (const auto &combo : combos) {
-            core::CoreParams params = buildParams(combo);
+        for (const Config &point : combos) {
+            if (!point.has("workload") || !point.has("config"))
+                fatal("%s: every job line needs workload= and config=",
+                      where.c_str());
             sim::SimOptions options = defaults;
-            if (auto it = combo.find("insts"); it != combo.end())
-                options.maxInsts = parseU64("insts", it->second);
-            if (auto it = combo.find("fast_forward"); it != combo.end())
-                options.fastForward =
-                    parseU64("fast_forward", it->second);
-            for (const auto &w : resolveWorkloads(combo.at("workload")))
+            core::CoreParams params = sim::configureRun(point, options);
+            std::string workload = point.getString("workload");
+            point.rejectUnreadKeys(where);
+            for (const auto &w : resolveWorkloads(workload))
                 jobs.push_back({w, params, options,
-                                w.name + "/" + combo.at("config"),
+                                w.name + "/" + params.regFileBackend,
                                 nullptr});
         }
     }
@@ -280,15 +171,8 @@ main(int argc, char **argv)
     Config config;
     config.parseArgs(argc, argv);
 
-    if (config.getBool("fingerprint", false)) {
-        std::printf("%s\n", buildFingerprint());
-        return 0;
-    }
-
+    bool fingerprint = config.getBool("fingerprint", false);
     std::string sweep_path = config.getString("sweep", "");
-    if (sweep_path.empty())
-        fatal("carf_sweep: sweep=FILE is required (fingerprint=1 to "
-              "print the build fingerprint)");
     std::string store_dir =
         config.getString("store_dir", "carf_sweep_store");
     std::string out = config.getString("out", "SWEEP_results.ndjson");
@@ -306,15 +190,25 @@ main(int argc, char **argv)
         trace_cache = std::make_shared<emu::TraceCache>(budget_mb << 20);
         defaults.traceCache = trace_cache.get();
     }
+    config.rejectUnreadKeys("carf_sweep");
 
-    sim::ResultStore store(store_dir, buildFingerprint(), jobs);
-    defaults.resultStore = &store;
+    if (fingerprint) {
+        std::printf("%s\n", buildFingerprint());
+        return 0;
+    }
+    if (sweep_path.empty())
+        fatal("carf_sweep: sweep=FILE is required (fingerprint=1 to "
+              "print the build fingerprint)");
 
     std::vector<sim::ExperimentJob> batch =
         parseSweepFile(sweep_path, defaults);
     if (batch.empty())
         fatal("carf_sweep: '%s' expands to zero jobs",
               sweep_path.c_str());
+
+    sim::ResultStore store(store_dir, buildFingerprint(), jobs);
+    for (sim::ExperimentJob &job : batch)
+        job.options.resultStore = &store;
 
     std::printf("sweep-fingerprint: %s\n", buildFingerprint());
     std::printf("sweep-store: %s (%zu entries on open)\n",
