@@ -19,6 +19,7 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::BenchArgs::parse("ablation_clustering", argc, argv);
+    args.readRegfileKey();
     args.rejectUnreadKeys();
     bench::printHeader(
         "Value-type clustering estimate (§6, derived from Table 4)",

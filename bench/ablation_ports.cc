@@ -14,7 +14,6 @@
  */
 
 #include "bench_util.hh"
-#include "energy/report.hh"
 
 using namespace carf;
 
@@ -22,6 +21,7 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::BenchArgs::parse("ablation_ports", argc, argv);
+    args.readRegfileKey();
     args.rejectUnreadKeys();
     bench::printHeader(
         "Port reduction x organization (INT suite)",
@@ -53,43 +53,28 @@ main(int argc, char **argv)
     auto runs = args.runSuites(workloads::intSuite(), configs);
     const auto &unlimited_run = runs[0];
 
-    energy::RixnerModel model;
-    double unlimited_energy = energy::conventionalEnergy(
-        model, energy::unlimitedGeometry(),
-        unlimited_run.totalAccesses());
+    // Each energy is charged to the file the run simulated, at its
+    // ports, so under regfile= it is the substituted backend's.
+    auto run_energy = [&](size_t c) {
+        return energy::FileCost(args.applyRegfileOverride(configs[c].second))
+            .energy(runs[c].totalAccesses(), runs[c].totalShortWrites());
+    };
+    double unlimited_energy = run_energy(0);
 
     Table table("relative IPC (vs unlimited) and RF energy "
                 "(vs unlimited) per port configuration");
     table.setColumns({"organization", "ports", "rel IPC",
                       "rel energy"});
 
-    for (size_t i = 0; i < std::size(points); ++i) {
-        const PortPoint &p = points[i];
-        const auto &base_run = runs[1 + 2 * i];
-        const auto &ca_run = runs[2 + 2 * i];
-        const core::CoreParams &base = configs[1 + 2 * i].second;
-        const core::CoreParams &ca = configs[2 + 2 * i].second;
-
-        energy::RegFileGeometry geom{base.physIntRegs, 64, p.rd, p.wr};
-        double base_energy = energy::conventionalEnergy(
-            model, geom, base_run.totalAccesses());
-        table.addRow({"baseline", strprintf("%uR/%uW", p.rd, p.wr),
-                      Table::pct(sim::meanRelativeIpc(base_run,
-                                                      unlimited_run),
-                                 2),
-                      Table::pct(base_energy / unlimited_energy)});
-
-        auto ca_geom = energy::caGeometry(ca.physIntRegs, ca.ca, p.rd,
-                                          p.wr);
-        double ca_energy = energy::contentAwareEnergy(
-            model, ca_geom, ca_run.totalAccesses(),
-            ca_run.totalShortWrites());
-        table.addRow({"content-aware",
+    // configs[1..]: baseline then content-aware at each port point.
+    for (size_t c = 1; c < configs.size(); ++c) {
+        const PortPoint &p = points[(c - 1) / 2];
+        table.addRow({c % 2 ? "baseline" : "content-aware",
                       strprintf("%uR/%uW", p.rd, p.wr),
-                      Table::pct(sim::meanRelativeIpc(ca_run,
+                      Table::pct(sim::meanRelativeIpc(runs[c],
                                                       unlimited_run),
                                  2),
-                      Table::pct(ca_energy / unlimited_energy)});
+                      Table::pct(run_energy(c) / unlimited_energy)});
     }
     bench::printTable(table, args);
 

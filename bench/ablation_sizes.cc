@@ -23,6 +23,7 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::BenchArgs::parse("ablation_sizes", argc, argv);
+    args.readRegfileKey();
     args.rejectUnreadKeys();
     bench::printHeader(
         "Ablations: sub-file sizing and design choices (d+n=20)",

@@ -108,6 +108,7 @@ main(int argc, char **argv)
         fatal("mix=: need at least one workload name");
     for (const std::string &name : mix)
         workloads::findWorkload(name); // fatal on unknown names
+    args.readRegfileKey();
     args.rejectUnreadKeys();
 
     // Thread 0 runs mix[0]; simulateSmt assigns thread t > 0 from

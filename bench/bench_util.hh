@@ -25,7 +25,10 @@
  *   sampling_measure=N  measured instructions per period
  *                       (default 1000)
  *   regfile=NAME[,NAME...]
- *                     register-file backend selection. A single name
+ *                     register-file backend selection, read only by
+ *                     the harnesses that simulate configurations
+ *                     (readRegfileKey()); elsewhere it is fatal like
+ *                     any unread key. A single name
  *                     re-runs the harness with that registered backend
  *                     substituted into every configuration (labels and
  *                     the JSON report gain a " [regfile=NAME]" suffix
@@ -74,6 +77,7 @@
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "emu/trace_cache.hh"
+#include "energy/report.hh"
 #include "regfile/registry.hh"
 #include "sim/experiment_runner.hh"
 #include "sim/experiments.hh"
@@ -178,6 +182,8 @@ struct BenchArgs
      * argument order; empty when the key is absent (stock run).
      */
     std::vector<std::string> regfileOverrides;
+    /** Set by readRegfileKey(); the override helpers require it. */
+    bool regfileKeyRead = false;
     /**
      * Set once backendConfigs() consumes the regfile= selection; the
      * generic per-suite override then stands down so a sweep harness
@@ -224,15 +230,27 @@ struct BenchArgs
                 store_dir, buildFingerprint());
             args.options.resultStore = args.resultStore.get();
         }
-        for (const std::string &name : args.config.getList("regfile", "")) {
-            regfile::registry().at(name); // fatal on unknown names
-            args.regfileOverrides.push_back(name);
-        }
         args.reportPath = args.config.getString(
             "out", "BENCH_" + std::string(bench_name) + ".json");
         args.report.begin(bench_name, args.runner.jobs(),
                           args.options.maxInsts);
         return args;
+    }
+
+    /**
+     * Read the regfile= key. A harness that applies it (through
+     * runSuite(), runSuites(), backendConfigs() or the override
+     * helpers) calls this before rejectUnreadKeys(); in every other
+     * harness the key stays unread, so it is fatal.
+     */
+    void
+    readRegfileKey()
+    {
+        for (const std::string &name : config.getList("regfile", "")) {
+            regfile::registry().at(name); // fatal on unknown names
+            regfileOverrides.push_back(name);
+        }
+        regfileKeyRead = true;
     }
 
     /** Config::rejectUnreadKeys() under this harness's name. */
@@ -252,6 +270,7 @@ struct BenchArgs
     core::CoreParams
     applyRegfileOverride(core::CoreParams params) const
     {
+        requireRegfileKey();
         if (regfileOverrides.empty() || regfileOverrideConsumed)
             return params;
         if (regfileOverrides.size() > 1)
@@ -265,6 +284,7 @@ struct BenchArgs
     std::string
     decorateLabel(const std::string &label) const
     {
+        requireRegfileKey();
         if (regfileOverrides.empty() || regfileOverrideConsumed)
             return label;
         return label + " [regfile=" + regfileOverrides[0] + "]";
@@ -279,6 +299,7 @@ struct BenchArgs
     std::vector<std::pair<std::string, core::CoreParams>>
     backendConfigs() const
     {
+        requireRegfileKey();
         std::vector<std::string> names = regfileOverrides;
         regfileOverrideConsumed = true;
         if (names.empty())
@@ -363,6 +384,15 @@ struct BenchArgs
         return runs;
     }
 
+    /** Applying regfile= without readRegfileKey() would ignore it. */
+    void
+    requireRegfileKey() const
+    {
+        if (!regfileKeyRead)
+            panic("%s: applies regfile= without readRegfileKey()",
+                  report.name().c_str());
+    }
+
     void
     writeReport() const
     {
@@ -389,6 +419,36 @@ printTable(const Table &table, const BenchArgs &args)
         std::fputs(table.renderCsv().c_str(), stdout);
     std::fputs("\n", stdout);
     args.report.addTable(table);
+}
+
+/**
+ * A table row of per-sub-file columns: @p head, then @p cell of each
+ * bank of @p file in bank order, then @p tail.
+ */
+template <typename Cell>
+std::vector<std::string>
+bankRow(std::string head, const energy::FileCost &file, Cell cell,
+        const std::vector<std::string> &tail)
+{
+    std::vector<std::string> row = {std::move(head)};
+    for (const energy::BankGeometry &bank : file.banks())
+        row.push_back(cell(bank));
+    row.insert(row.end(), tail.begin(), tail.end());
+    return row;
+}
+
+/** bankRow() cell: the bank's label, for header rows. */
+inline std::string
+bankLabel(const energy::BankGeometry &bank)
+{
+    return bank.label;
+}
+
+/** bankRow() cell: "-", for a file without those banks. */
+inline std::string
+noBank(const energy::BankGeometry &)
+{
+    return "-";
 }
 
 inline void

@@ -5,7 +5,7 @@
  * suite, in one job batch. For each model the report
  * carries IPC, the per-sub-file access counts, model-level port
  * conflicts, and the Rixner energy/area/access-time numbers — all
- * obtained through the RegFileModel hooks (banks()/energyTerms()),
+ * evaluated from each backend's registry geometry (energy::FileCost),
  * with no backend special cases, so a newly registered backend shows
  * up in the comparison with zero harness changes.
  *
@@ -15,15 +15,13 @@
 
 #include "bench_util.hh"
 
-#include "energy/report.hh"
-#include "regfile/registry.hh"
-
 using namespace carf;
 
 int
 main(int argc, char **argv)
 {
     auto args = bench::BenchArgs::parse("compare_backends", argc, argv);
+    args.readRegfileKey();
     args.rejectUnreadKeys();
     bench::printHeader(
         "Backend zoo: IPC / access / energy / area / delay per "
@@ -41,8 +39,6 @@ main(int argc, char **argv)
         if (configs[c].first == "unlimited")
             ref = c;
 
-    energy::RixnerModel model;
-
     Table table("backend comparison (INT suite)");
     table.setColumns({"backend", "IPC", "rel IPC", "RF reads",
                       "RF writes", "conflict cycles", "energy",
@@ -52,13 +48,8 @@ main(int argc, char **argv)
         const core::CoreParams &params = configs[c].second;
         const sim::SuiteRun &run = runs[c];
 
-        auto rf = regfile::makeRegFile(name, params.regFileParams(),
-                                       "compare");
+        energy::FileCost file(params);
         regfile::AccessCounts counts = run.totalAccesses();
-        double joules = energy::modelEnergy(
-            model, rf->energyTerms(counts, run.totalShortWrites()));
-        double area = energy::modelArea(model, rf->banks());
-        double access = energy::modelMaxAccessTime(model, rf->banks());
         u64 conflict_cycles = 0;
         for (const auto &r : run.results)
             conflict_cycles += r.portConflictCycles;
@@ -71,19 +62,20 @@ main(int argc, char **argv)
                                 (unsigned long long)counts.totalWrites()),
                       strprintf("%llu",
                                 (unsigned long long)conflict_cycles),
-                      strprintf("%.4g", joules),
-                      strprintf("%.4g", area),
-                      strprintf("%.4g", access)});
+                      strprintf("%.4g",
+                                file.energy(counts,
+                                            run.totalShortWrites())),
+                      strprintf("%.4g", file.area()),
+                      strprintf("%.4g", file.accessTime())});
     }
     bench::printTable(table, args);
 
     Table geom("backend geometries (registry descriptions)");
     geom.setColumns({"backend", "description", "banks"});
     for (const auto &[name, params] : configs) {
-        auto rf = regfile::makeRegFile(name, params.regFileParams(),
-                                       "describe");
+        energy::FileCost file(params);
         std::string banks;
-        for (const regfile::BankGeometry &b : rf->banks())
+        for (const energy::BankGeometry &b : file.banks())
             banks += strprintf("%s%s %ux%ub %uR/%uW",
                                banks.empty() ? "" : "; ",
                                b.label.c_str(), b.entries, b.widthBits,

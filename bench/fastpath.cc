@@ -74,6 +74,7 @@ main(int argc, char **argv)
     u64 period = args.config.getU64("sampling_period", 10000);
     double max_err = args.config.getDouble("max_ipc_err", 0.0);
     double min_samp = args.config.getDouble("min_sampling_speedup", 0.0);
+    args.readRegfileKey();
     args.rejectUnreadKeys();
     bench::printHeader(
         "Fast-path engine: exact idle-cycle skip + SMARTS sampling",

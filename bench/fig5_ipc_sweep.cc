@@ -21,6 +21,7 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::BenchArgs::parse("fig5_ipc_sweep", argc, argv);
+    args.readRegfileKey();
     args.rejectUnreadKeys();
     bench::printHeader(
         "Figure 5: average relative IPC vs d+n (8 short, 48 long)",

@@ -42,6 +42,7 @@ main(int argc, char **argv)
 {
     auto args =
         bench::BenchArgs::parse("fig6_access_distribution", argc, argv);
+    args.readRegfileKey();
     args.rejectUnreadKeys();
     bench::printHeader(
         "Figure 6: access distribution by value type vs d+n",

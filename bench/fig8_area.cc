@@ -8,7 +8,6 @@
  */
 
 #include "bench_util.hh"
-#include "energy/report.hh"
 
 using namespace carf;
 
@@ -21,30 +20,29 @@ main(int argc, char **argv)
         "Figure 8: relative register file area vs d+n",
         "content-aware total = 82.1% of baseline at d+n=20");
 
-    energy::RixnerModel model;
-    double unlimited_area = model.area(energy::unlimitedGeometry());
-    double baseline_area = model.area(energy::baselineGeometry());
+    double unlimited_area =
+        energy::FileCost(core::CoreParams::unlimited()).area();
+    double baseline_area =
+        energy::FileCost(core::CoreParams::baseline()).area();
+    // The per-sub-file columns are the content-aware bank labels.
+    energy::FileCost chosen(core::CoreParams::contentAware());
 
     Table table("Fig 8: area (100% = unlimited)");
-    table.setColumns({"config", "simple", "short", "long", "total",
-                      "total vs baseline"});
-    table.addRow({"baseline", "-", "-", "-",
-                  Table::pct(baseline_area / unlimited_area),
-                  Table::pct(1.0)});
+    table.setColumns(bench::bankRow("config", chosen, bench::bankLabel,
+                                    {"total", "total vs baseline"}));
+    table.addRow(bench::bankRow(
+        "baseline", chosen, bench::noBank,
+        {Table::pct(baseline_area / unlimited_area), Table::pct(1.0)}));
 
     for (unsigned dn : bench::kDnSweep) {
-        auto params = core::CoreParams::contentAware(dn);
-        auto geom = energy::caGeometry(params.physIntRegs, params.ca);
-        double total = energy::caTotalArea(model, geom);
-        table.addRow({strprintf("d+n=%u", dn),
-                      Table::pct(model.area(geom.simple) /
-                                 unlimited_area),
-                      Table::pct(model.area(geom.shortFile) /
-                                 unlimited_area),
-                      Table::pct(model.area(geom.longFile) /
-                                 unlimited_area),
-                      Table::pct(total / unlimited_area),
-                      Table::pct(total / baseline_area)});
+        energy::FileCost ca(core::CoreParams::contentAware(dn));
+        table.addRow(bench::bankRow(
+            strprintf("d+n=%u", dn), ca,
+            [&](const energy::BankGeometry &bank) {
+                return Table::pct(ca.model().area(bank) / unlimited_area);
+            },
+            {Table::pct(ca.area() / unlimited_area),
+             Table::pct(ca.area() / baseline_area)}));
     }
     bench::printTable(table, args);
     args.writeReport();

@@ -10,7 +10,6 @@
  */
 
 #include "bench_util.hh"
-#include "energy/report.hh"
 #include "sim/frequency.hh"
 
 using namespace carf;
@@ -19,50 +18,52 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::BenchArgs::parse("fig9_access_time", argc, argv);
+    args.readRegfileKey();
     args.rejectUnreadKeys();
     bench::printHeader(
         "Figure 9: relative access time of the register files vs d+n",
         "all sub-files faster than baseline; up to ~15% clock headroom");
 
-    energy::RixnerModel model;
     double unlimited_time =
-        model.accessTime(energy::unlimitedGeometry());
-    double baseline_time = model.accessTime(energy::baselineGeometry());
+        energy::FileCost(core::CoreParams::unlimited()).accessTime();
+    double baseline_time =
+        energy::FileCost(core::CoreParams::baseline()).accessTime();
+    // The per-sub-file columns are the content-aware bank labels.
+    energy::FileCost chosen(core::CoreParams::contentAware());
 
     Table table("Fig 9: access time (100% = unlimited)");
-    table.setColumns({"config", "simple", "short", "long",
-                      "slowest vs baseline"});
-    table.addRow({"baseline", "-", "-", "-",
-                  Table::pct(baseline_time / baseline_time)});
+    table.setColumns(bench::bankRow("config", chosen, bench::bankLabel,
+                                    {"slowest vs baseline"}));
+    table.addRow(bench::bankRow("baseline", chosen, bench::noBank,
+                                {Table::pct(baseline_time / baseline_time)}));
 
     for (unsigned dn : bench::kDnSweep) {
-        auto params = core::CoreParams::contentAware(dn);
-        auto geom = energy::caGeometry(params.physIntRegs, params.ca);
-        double slowest = energy::caMaxAccessTime(model, geom);
-        table.addRow({strprintf("d+n=%u", dn),
-                      Table::pct(model.accessTime(geom.simple) /
-                                 unlimited_time),
-                      Table::pct(model.accessTime(geom.shortFile) /
-                                 unlimited_time),
-                      Table::pct(model.accessTime(geom.longFile) /
-                                 unlimited_time),
-                      Table::pct(slowest / baseline_time)});
+        energy::FileCost ca(core::CoreParams::contentAware(dn));
+        table.addRow(bench::bankRow(
+            strprintf("d+n=%u", dn), ca,
+            [&](const energy::BankGeometry &bank) {
+                return Table::pct(ca.model().accessTime(bank) /
+                                  unlimited_time);
+            },
+            {Table::pct(ca.accessTime() / baseline_time)}));
     }
     bench::printTable(table, args);
 
     // §5 speed-up estimate at the paper's chosen point (d+n=20),
-    // using the measured INT relative IPC.
+    // using the measured INT relative IPC. Both access times are of
+    // the files the two runs simulated, so under regfile= they are the
+    // substituted backend's.
+    auto baseline = core::CoreParams::baseline();
     auto params = core::CoreParams::contentAware(20);
-    auto baseline_run = args.runSuite(workloads::intSuite(),
-                                      core::CoreParams::baseline(),
-                                      "baseline INT");
+    auto baseline_run =
+        args.runSuite(workloads::intSuite(), baseline, "baseline INT");
     auto ca_run = args.runSuite(workloads::intSuite(), params,
                                 "CA INT d+n=20");
     double rel_ipc = sim::meanRelativeIpc(ca_run, baseline_run);
 
-    auto geom = energy::caGeometry(params.physIntRegs, params.ca);
     double max_gain = sim::potentialFrequencyGain(
-        baseline_time, energy::caMaxAccessTime(model, geom));
+        energy::FileCost(args.applyRegfileOverride(baseline)).accessTime(),
+        energy::FileCost(args.applyRegfileOverride(params)).accessTime());
 
     Table speedup("§5: frequency-scaled speed-up estimate (INT, "
                   "d+n=20, relative IPC " +

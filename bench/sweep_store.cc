@@ -85,6 +85,7 @@ main(int argc, char **argv)
         args.config.getString("sweep_dir", "BENCH_sweep_store.store");
     double min_speedup = args.config.getDouble("min_speedup", 0.0);
     bool fresh = args.config.getBool("fresh", true);
+    args.readRegfileKey();
     args.rejectUnreadKeys();
     if (fresh)
         std::filesystem::remove_all(store_dir);

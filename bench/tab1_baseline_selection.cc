@@ -19,6 +19,7 @@ main(int argc, char **argv)
 {
     auto args =
         bench::BenchArgs::parse("tab1_baseline_selection", argc, argv);
+    args.readRegfileKey();
     args.rejectUnreadKeys();
     bench::printHeader(
         "§4: baseline register file selection (INT suite)",

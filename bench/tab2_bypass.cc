@@ -17,6 +17,7 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::BenchArgs::parse("tab2_bypass", argc, argv);
+    args.readRegfileKey();
     args.rejectUnreadKeys();
     bench::printHeader(
         "Table 2: percentage of bypassed operands",

@@ -8,7 +8,6 @@
  */
 
 #include "bench_util.hh"
-#include "energy/report.hh"
 
 using namespace carf;
 
@@ -23,22 +22,24 @@ main(int argc, char **argv)
         "baseline 48.8%");
 
     energy::RixnerModel model;
-    double unlimited = model.readEnergy(energy::unlimitedGeometry());
-    double baseline = model.readEnergy(energy::baselineGeometry());
+    double unlimited = model.readEnergy(
+        energy::FileCost(core::CoreParams::unlimited()).banks().front());
+    double baseline = model.readEnergy(
+        energy::FileCost(core::CoreParams::baseline()).banks().front());
 
     Table table("Tab 3: per-access read energy (100% = unlimited)");
-    table.setColumns({"d+n", "simple", "short", "long", "baseline"});
+    // The per-sub-file columns are the content-aware bank labels.
+    table.setColumns(bench::bankRow(
+        "d+n", energy::FileCost(core::CoreParams::contentAware()),
+        bench::bankLabel, {"baseline"}));
     for (unsigned dn : bench::kDnSweep) {
-        auto params = core::CoreParams::contentAware(dn);
-        auto geom = energy::caGeometry(params.physIntRegs, params.ca);
-        table.addRow({strprintf("%u", dn),
-                      Table::pct(model.readEnergy(geom.simple) /
-                                 unlimited),
-                      Table::pct(model.readEnergy(geom.shortFile) /
-                                 unlimited),
-                      Table::pct(model.readEnergy(geom.longFile) /
-                                 unlimited),
-                      Table::pct(baseline / unlimited)});
+        table.addRow(bench::bankRow(
+            strprintf("%u", dn),
+            energy::FileCost(core::CoreParams::contentAware(dn)),
+            [&](const energy::BankGeometry &bank) {
+                return Table::pct(model.readEnergy(bank) / unlimited);
+            },
+            {Table::pct(baseline / unlimited)}));
     }
     bench::printTable(table, args);
     args.writeReport();

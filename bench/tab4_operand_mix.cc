@@ -17,6 +17,7 @@ int
 main(int argc, char **argv)
 {
     auto args = bench::BenchArgs::parse("tab4_operand_mix", argc, argv);
+    args.readRegfileKey();
     args.rejectUnreadKeys();
     bench::printHeader(
         "Table 4: operation distribution by source operand types "

@@ -47,10 +47,9 @@ main(int argc, char **argv)
     auto baseline_run =
         sim::runSuite(suite, core::CoreParams::baseline(), options);
 
-    energy::RixnerModel model;
-    auto baseline_geom = energy::baselineGeometry();
-    double baseline_energy = energy::conventionalEnergy(
-        model, baseline_geom, baseline_run.totalAccesses());
+    double baseline_energy =
+        energy::FileCost(core::CoreParams::baseline())
+            .energy(baseline_run.totalAccesses(), 0);
 
     std::vector<Point> points;
     for (unsigned dn : {12u, 16u, 20u, 24u}) {
@@ -58,14 +57,11 @@ main(int argc, char **argv)
             for (unsigned k : {32u, 48u, 64u}) {
                 auto params = core::CoreParams::contentAware(dn, n, k);
                 auto run = sim::runSuite(suite, params, options);
-                auto geom =
-                    energy::caGeometry(params.physIntRegs, params.ca);
                 double rel_ipc =
                     sim::meanRelativeIpc(run, baseline_run);
                 double rel_energy =
-                    energy::contentAwareEnergy(model, geom,
-                                               run.totalAccesses(),
-                                               run.totalShortWrites()) /
+                    energy::FileCost(params).energy(
+                        run.totalAccesses(), run.totalShortWrites()) /
                     baseline_energy;
                 // Delay ~ 1/IPC at fixed frequency.
                 points.push_back(

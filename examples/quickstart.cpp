@@ -52,27 +52,22 @@ main(int argc, char **argv)
     std::printf("relative IPC (content-aware / baseline): %.4f\n",
                 rel_ipc);
 
-    // Energy/area/time comparison from the Rixner-style model.
-    energy::RixnerModel model;
-    auto base_geom = energy::baselineGeometry();
-    auto ca_geom = energy::caGeometry(ca_params.physIntRegs,
-                                      ca_params.ca);
+    // Energy/area/time comparison from the Rixner-style model, each
+    // file at the ports and sizes it was simulated with.
+    energy::FileCost base_file(baseline_params);
+    energy::FileCost ca_file(ca_params);
 
     double base_energy =
-        energy::conventionalEnergy(model, base_geom,
-                                   baseline.intRfAccesses);
-    double ca_energy = energy::contentAwareEnergy(
-        model, ca_geom, ca.intRfAccesses, ca.shortFileWrites);
+        base_file.energy(baseline.intRfAccesses, baseline.shortFileWrites);
+    double ca_energy = ca_file.energy(ca.intRfAccesses, ca.shortFileWrites);
     std::printf("register file energy vs baseline: %.1f%%\n",
                 100.0 * ca_energy / base_energy);
 
-    double base_area = model.area(base_geom);
-    double ca_area = energy::caTotalArea(model, ca_geom);
     std::printf("register file area vs baseline: %.1f%%\n",
-                100.0 * ca_area / base_area);
+                100.0 * ca_file.area() / base_file.area());
 
-    double base_time = model.accessTime(base_geom);
-    double ca_time = energy::caMaxAccessTime(model, ca_geom);
+    double base_time = base_file.accessTime();
+    double ca_time = ca_file.accessTime();
     double freq_gain = sim::potentialFrequencyGain(base_time, ca_time);
     std::printf("access time vs baseline: %.1f%% "
                 "(potential clock gain %.1f%%)\n",

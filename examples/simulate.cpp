@@ -23,7 +23,6 @@
 #include "core/pipeline.hh"
 #include "emu/trace_file.hh"
 #include "energy/report.hh"
-#include "regfile/registry.hh"
 #include "sim/reporting.hh"
 #include "sim/simulator.hh"
 
@@ -54,19 +53,17 @@ printResult(const core::RunResult &result,
                 (unsigned long long)counts.writes[0],
                 (unsigned long long)counts.writes[1],
                 (unsigned long long)counts.writes[2]);
-    auto rf = regfile::makeRegFile(params.regFileBackend,
-                                   params.regFileParams(), "report");
-    if (rf->hasValueTaxonomy()) {
+    // Only a file with a value taxonomy classifies operands (Table 4).
+    if (result.cluster.localOperands > 0) {
         std::printf("  long stalls %llu, recoveries %llu, avg live "
                     "long %.1f, avg live short %.1f\n",
                     (unsigned long long)result.longAllocStalls,
                     (unsigned long long)result.recoveries,
                     result.avgLiveLong, result.avgLiveShort);
-        energy::RixnerModel model;
-        double rf_energy = energy::modelEnergy(
-            model, rf->energyTerms(counts, result.shortFileWrites));
-        double base_energy = energy::conventionalEnergy(
-            model, energy::baselineGeometry(), counts);
+        double rf_energy = energy::FileCost(params).energy(
+            counts, result.shortFileWrites);
+        double base_energy =
+            energy::FileCost(core::CoreParams::baseline()).energy(counts, 0);
         std::printf("  RF energy vs same-traffic baseline file: "
                     "%.1f%%\n", 100.0 * rf_energy / base_energy);
     }

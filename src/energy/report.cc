@@ -5,114 +5,40 @@
 namespace carf::energy
 {
 
-CaGeometry
-caGeometry(unsigned phys_regs, const regfile::ContentAwareParams &params,
-           unsigned read_ports, unsigned write_ports)
+FileCost::FileCost(const core::CoreParams &params)
+    : geometry_(regfile::registry().at(params.regFileBackend).geometry),
+      banks_(geometry_.banks(params.regFileParams()))
 {
-    const regfile::SimilarityParams &sim = params.sim;
-    CaGeometry g;
-    // Simple: RD field (2 bits) + d+n-bit value field, one entry per
-    // physical tag.
-    g.simple = {phys_regs, sim.simpleFieldBits() + 2, read_ports,
-                write_ports};
-    // Short: M entries of the high 64-d-n bits; extra read ports for
-    // the WR1 compares (one per core write port), two write ports for
-    // the address-allocation path.
-    g.shortFile = {sim.shortEntries(), sim.shortEntryBits(),
-                   read_ports + write_ports, 2};
-    // Long: K entries of 64-d-n+m bits.
-    g.longFile = {params.longEntries, params.longEntryBits(), read_ports,
-                  write_ports};
-    return g;
 }
 
 double
-caTotalArea(const RixnerModel &model, const CaGeometry &g)
-{
-    return model.area(g.simple) + model.area(g.shortFile) +
-           model.area(g.longFile);
-}
-
-double
-caMaxAccessTime(const RixnerModel &model, const CaGeometry &g)
-{
-    return std::max({model.accessTime(g.simple),
-                     model.accessTime(g.shortFile),
-                     model.accessTime(g.longFile)});
-}
-
-RegFileGeometry
-bankGeometry(const regfile::BankGeometry &bank)
-{
-    return {bank.entries, bank.widthBits, bank.readPorts,
-            bank.writePorts};
-}
-
-double
-modelArea(const RixnerModel &model,
-          const std::vector<regfile::BankGeometry> &banks)
+FileCost::area() const
 {
     double area = 0.0;
-    for (const regfile::BankGeometry &bank : banks)
-        area += model.area(bankGeometry(bank));
+    for (const BankGeometry &bank : banks_)
+        area += model_.area(bank);
     return area;
 }
 
 double
-modelMaxAccessTime(const RixnerModel &model,
-                   const std::vector<regfile::BankGeometry> &banks)
+FileCost::accessTime() const
 {
     double worst = 0.0;
-    for (const regfile::BankGeometry &bank : banks)
-        worst = std::max(worst, model.accessTime(bankGeometry(bank)));
+    for (const BankGeometry &bank : banks_)
+        worst = std::max(worst, model_.accessTime(bank));
     return worst;
 }
 
 double
-modelEnergy(const RixnerModel &model,
-            const std::vector<regfile::EnergyTerm> &terms)
+FileCost::energy(const regfile::AccessCounts &counts,
+                 u64 short_alloc_writes) const
 {
     double energy = 0.0;
-    for (const regfile::EnergyTerm &t : terms) {
-        RegFileGeometry g = bankGeometry(t.bank);
-        energy += t.accesses *
-                  (t.isWrite ? model.writeEnergy(g) : model.readEnergy(g));
+    for (const EnergyTerm &t :
+         geometry_.energyTerms(banks_, counts, short_alloc_writes)) {
+        energy += t.accesses * (t.isWrite ? model_.writeEnergy(t.bank)
+                                          : model_.readEnergy(t.bank));
     }
-    return energy;
-}
-
-double
-conventionalEnergy(const RixnerModel &model, const RegFileGeometry &g,
-                   const regfile::AccessCounts &counts)
-{
-    return counts.totalReads() * model.readEnergy(g) +
-           counts.totalWrites() * model.writeEnergy(g);
-}
-
-double
-contentAwareEnergy(const RixnerModel &model, const CaGeometry &g,
-                   const regfile::AccessCounts &counts, u64 short_writes)
-{
-    using regfile::ValueType;
-    auto idx = [](ValueType t) { return static_cast<unsigned>(t); };
-
-    double energy = 0.0;
-    // Every architectural read first reads the Simple entry (RF1).
-    energy += counts.totalReads() * model.readEnergy(g.simple);
-    // RF2 touches the typed sub-file for short/long values.
-    energy += counts.reads[idx(ValueType::Short)] *
-              model.readEnergy(g.shortFile);
-    energy += counts.reads[idx(ValueType::Long)] *
-              model.readEnergy(g.longFile);
-    // Every writeback writes the Simple entry (RD + value field).
-    energy += counts.totalWrites() * model.writeEnergy(g.simple);
-    // Long-typed writebacks write the Long file.
-    energy += counts.writes[idx(ValueType::Long)] *
-              model.writeEnergy(g.longFile);
-    // WR1 classification probes read the Short file.
-    energy += counts.shortProbeReads * model.readEnergy(g.shortFile);
-    // Address-path allocations write the Short file.
-    energy += short_writes * model.writeEnergy(g.shortFile);
     return energy;
 }
 

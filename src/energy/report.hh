@@ -1,95 +1,51 @@
 /**
  * @file
- * Derived energy/area/time reports for the paper's configurations:
- * geometry builders for the content-aware sub-files and the combined
- * per-run energy accounting that multiplies per-access energies by
- * the simulator's access counts (paper §5).
+ * The one energy/area/access-time evaluation of a register file (paper
+ * §5): the banks and energy terms its backend's registry entry builds
+ * from the simulated parameters, evaluated under the Rixner model. No
+ * register-file model is constructed.
  */
 
 #ifndef CARF_ENERGY_REPORT_HH
 #define CARF_ENERGY_REPORT_HH
 
+#include <vector>
+
+#include "core/params.hh"
 #include "energy/rixner.hh"
-#include "regfile/content_aware.hh"
-#include "regfile/regfile.hh"
+#include "regfile/registry.hh"
 
 namespace carf::energy
 {
 
-/** Geometries of the three content-aware sub-files. */
-struct CaGeometry
+/** Rixner evaluation of the register file one CoreParams simulates. */
+class FileCost
 {
-    RegFileGeometry simple;
-    RegFileGeometry shortFile;
-    RegFileGeometry longFile;
+  public:
+    /** Fatal on an unknown backend name, like the factory. */
+    explicit FileCost(const core::CoreParams &params);
+
+    /** The storage banks, in the backend's canonical order. */
+    const std::vector<BankGeometry> &banks() const { return banks_; }
+    const RixnerModel &model() const { return model_; }
+
+    /** Ordered sum of the per-bank areas. */
+    double area() const;
+    /** The slowest bank (sets the register read stage). */
+    double accessTime() const;
+    /**
+     * Energy of a run with access totals @p counts and
+     * @p short_alloc_writes internal allocation writes: the ordered
+     * sum of the backend's energy terms.
+     */
+    double energy(const regfile::AccessCounts &counts,
+                  u64 short_alloc_writes) const;
+
+  private:
+    RixnerModel model_;
+    const regfile::Registry::Geometry &geometry_;
+    std::vector<BankGeometry> banks_;
 };
-
-/**
- * Build sub-file geometries from the content-aware parameters.
- *
- * @param phys_regs number of physical tags (Simple file entries)
- * @param params similarity / sizing parameters
- * @param read_ports core read ports (baseline: 8)
- * @param write_ports core write ports (baseline: 6)
- *
- * The Short file gets one extra read port per write port (the WR1
- * comparison probes, §3.2) and two write ports (the load/store
- * address allocation path).
- */
-CaGeometry caGeometry(unsigned phys_regs,
-                      const regfile::ContentAwareParams &params,
-                      unsigned read_ports = 8, unsigned write_ports = 6);
-
-/** Total area of the three sub-files. */
-double caTotalArea(const RixnerModel &model, const CaGeometry &g);
-
-/** Slowest sub-file access time (sets the register read stage). */
-double caMaxAccessTime(const RixnerModel &model, const CaGeometry &g);
-
-/**
- * Total register file energy of a run on a conventional file:
- * reads x readEnergy + writes x writeEnergy.
- */
-double conventionalEnergy(const RixnerModel &model,
-                          const RegFileGeometry &g,
-                          const regfile::AccessCounts &counts);
-
-// --- model-hook evaluation (any registered backend) ---
-//
-// These evaluate a RegFileModel's banks()/energyTerms() hooks against
-// the Rixner model, so callers need no knowledge of the backend's
-// internal organization. For the built-in backends the results are
-// bit-identical to the legacy helpers above: banks() mirrors
-// caGeometry()/the flat geometry, terms are summed in the same order,
-// and each term is the same count-times-energy product.
-
-/** Rixner geometry of one model bank. */
-RegFileGeometry bankGeometry(const regfile::BankGeometry &bank);
-
-/** Total area of a model's banks (ordered sum). */
-double modelArea(const RixnerModel &model,
-                 const std::vector<regfile::BankGeometry> &banks);
-
-/** Slowest bank access time (sets the register read stage). */
-double modelMaxAccessTime(const RixnerModel &model,
-                          const std::vector<regfile::BankGeometry> &banks);
-
-/** Total energy of a run: the model's ordered energy terms. */
-double modelEnergy(const RixnerModel &model,
-                   const std::vector<regfile::EnergyTerm> &terms);
-
-/**
- * Total register file energy of a run on the content-aware file.
- * Every read/write touches the Simple file; short/long-typed
- * accesses additionally touch their sub-file; WR1 classification
- * probes are charged as Short file reads; Short allocations as Short
- * file writes.
- *
- * @param short_writes Short-file allocation writes (address path)
- */
-double contentAwareEnergy(const RixnerModel &model, const CaGeometry &g,
-                          const regfile::AccessCounts &counts,
-                          u64 short_writes);
 
 } // namespace carf::energy
 

@@ -13,19 +13,19 @@ RixnerModel::RixnerModel(const TechParams &tech) : tech_(tech)
 }
 
 double
-RixnerModel::cellWidthTracks(const RegFileGeometry &g) const
+RixnerModel::cellWidthTracks(const BankGeometry &g) const
 {
     return tech_.cellBaseTracks + tech_.trackPerPort * g.totalPorts();
 }
 
 double
-RixnerModel::cellHeightTracks(const RegFileGeometry &g) const
+RixnerModel::cellHeightTracks(const BankGeometry &g) const
 {
     return tech_.cellBaseTracks + tech_.trackPerPort * g.totalPorts();
 }
 
 double
-RixnerModel::area(const RegFileGeometry &g) const
+RixnerModel::area(const BankGeometry &g) const
 {
     if (g.entries == 0 || g.widthBits == 0)
         fatal("RixnerModel::area: empty geometry");
@@ -37,7 +37,7 @@ RixnerModel::area(const RegFileGeometry &g) const
 }
 
 double
-RixnerModel::readEnergy(const RegFileGeometry &g) const
+RixnerModel::readEnergy(const BankGeometry &g) const
 {
     double log_r = g.entries > 1 ? log2Ceil(g.entries) : 1.0;
     double e_decode = tech_.decodeEnergyPerBit * log_r;
@@ -55,13 +55,13 @@ RixnerModel::readEnergy(const RegFileGeometry &g) const
 }
 
 double
-RixnerModel::writeEnergy(const RegFileGeometry &g) const
+RixnerModel::writeEnergy(const BankGeometry &g) const
 {
     return readEnergy(g) * tech_.writeFactor;
 }
 
 double
-RixnerModel::accessTime(const RegFileGeometry &g) const
+RixnerModel::accessTime(const BankGeometry &g) const
 {
     double log_r = g.entries > 1 ? log2Ceil(g.entries) : 1.0;
     double t_decode = tech_.decodeDelayPerBit * log_r;
@@ -71,20 +71,6 @@ RixnerModel::accessTime(const RegFileGeometry &g) const
     double t_bitline = tech_.bitlineDelayCoeff *
         std::sqrt(g.entries * cellHeightTracks(g));
     return t_decode + t_wordline + t_bitline + tech_.senseDelay;
-}
-
-RegFileGeometry
-unlimitedGeometry()
-{
-    // ROB(128) + 32 architectural = 160 registers, 2x8 read, 8 write.
-    return {160, 64, 16, 8};
-}
-
-RegFileGeometry
-baselineGeometry()
-{
-    // §4: 112 physical registers, 8 read / 6 write ports.
-    return {112, 64, 8, 6};
 }
 
 } // namespace carf::energy

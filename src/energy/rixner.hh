@@ -23,20 +23,36 @@
 #ifndef CARF_ENERGY_RIXNER_HH
 #define CARF_ENERGY_RIXNER_HH
 
+#include <string>
+
 #include "common/types.hh"
 
 namespace carf::energy
 {
 
-/** Geometry of one register sub-file. */
-struct RegFileGeometry
+/** Geometry of one storage bank (sub-file) of a register file. */
+struct BankGeometry
 {
+    /** The bank's name in per-sub-file reports ("simple", "file"). */
+    std::string label;
     unsigned entries = 0;
     unsigned widthBits = 0;
     unsigned readPorts = 0;
     unsigned writePorts = 0;
 
     unsigned totalPorts() const { return readPorts + writePorts; }
+};
+
+/**
+ * One term of a file's energy accounting: @p accesses read or write
+ * accesses to @p bank. Terms are ORDERED: a run's energy is their sum
+ * left to right, so the printed totals are bit-stable.
+ */
+struct EnergyTerm
+{
+    BankGeometry bank;
+    u64 accesses = 0;
+    bool isWrite = false;
 };
 
 /** Technology/calibration constants of the analytic model. */
@@ -78,27 +94,23 @@ class RixnerModel
     explicit RixnerModel(const TechParams &tech = {});
 
     /** Cell array + periphery area. */
-    double area(const RegFileGeometry &g) const;
+    double area(const BankGeometry &g) const;
     /** Energy of one read access through one read port. */
-    double readEnergy(const RegFileGeometry &g) const;
+    double readEnergy(const BankGeometry &g) const;
     /** Energy of one write access through one write port. */
-    double writeEnergy(const RegFileGeometry &g) const;
+    double writeEnergy(const BankGeometry &g) const;
     /** Decoder + wordline + bitline + sense critical path. */
-    double accessTime(const RegFileGeometry &g) const;
+    double accessTime(const BankGeometry &g) const;
 
     const TechParams &tech() const { return tech_; }
 
     /** Cell dimensions in tracks (exposed for tests). */
-    double cellWidthTracks(const RegFileGeometry &g) const;
-    double cellHeightTracks(const RegFileGeometry &g) const;
+    double cellWidthTracks(const BankGeometry &g) const;
+    double cellHeightTracks(const BankGeometry &g) const;
 
   private:
     TechParams tech_;
 };
-
-/** The paper's reference files (§4): unlimited and baseline. */
-RegFileGeometry unlimitedGeometry();
-RegFileGeometry baselineGeometry();
 
 } // namespace carf::energy
 

@@ -12,9 +12,30 @@ namespace
 std::unique_ptr<RegisterFile>
 makeFlat(const std::string &instance, const RegFileParams &params)
 {
-    auto file = std::make_unique<BaselineRegFile>(instance, params.entries);
-    file->setPortGeometry(params.readPorts, params.writePorts);
-    return file;
+    return std::make_unique<BaselineRegFile>(instance, params.entries);
+}
+
+std::unique_ptr<RegisterFile>
+makePortReduction(const std::string &instance, const RegFileParams &params)
+{
+    params.portRed.validate();
+    return std::make_unique<BaselineRegFile>(
+        instance, params.entries, params.portRed.sharedReadPorts);
+}
+
+std::vector<energy::BankGeometry>
+portReductionBanks(const RegFileParams &params)
+{
+    // The whole point: the array is built with the reduced read-port
+    // pool, which enters the area model quadratically.
+    return {{"file", params.entries, 64, params.portRed.sharedReadPorts,
+             params.writePorts}};
+}
+
+std::string
+describePortReduction(const RegFileParams &params)
+{
+    return strprintf(", shared-rd=%u", params.portRed.sharedReadPorts);
 }
 
 } // namespace
@@ -31,13 +52,29 @@ registerFlatBackends(Registry &r)
     r.add("unlimited",
           "conventional flat file sized/ported to never constrain issue",
           makeFlat);
+    r.add("port-reduction",
+          "flat file with a reduced shared read-port pool (Los scheme)",
+          makePortReduction,
+          {portReductionBanks, nullptr, describePortReduction});
 }
 
 } // namespace detail
 
-BaselineRegFile::BaselineRegFile(std::string name, unsigned entries)
+void
+PortReductionParams::validate() const
+{
+    // An instruction may need one file read per source operand in a
+    // single cycle; fewer than two shared ports would deadlock
+    // two-source consumers of non-bypassable operands.
+    if (sharedReadPorts < 2)
+        fatal("PortReductionParams: need at least 2 shared read ports");
+}
+
+BaselineRegFile::BaselineRegFile(std::string name, unsigned entries,
+                                 unsigned read_port_pool)
     : RegisterFile(std::move(name), entries), file_(entries)
 {
+    readPortPool_ = read_port_pool;
 }
 
 void

@@ -7,6 +7,61 @@
 namespace carf::regfile
 {
 
+namespace
+{
+
+std::vector<energy::BankGeometry>
+contentAwareBanks(const RegFileParams &params)
+{
+    const SimilarityParams &sim = params.ca.sim;
+    // Simple holds the 2-bit RD field plus the d+n-bit value field per
+    // tag; Short gets one extra read port per core write port (the WR1
+    // compares, §3.2) and two write ports (the address-allocation
+    // path); Long is K entries of 64-d-n+m bits.
+    return {
+        {"simple", params.entries, sim.simpleFieldBits() + 2,
+         params.readPorts, params.writePorts},
+        {"short", sim.shortEntries(), sim.shortEntryBits(),
+         params.readPorts + params.writePorts, 2},
+        {"long", params.ca.longEntries, params.ca.longEntryBits(),
+         params.readPorts, params.writePorts},
+    };
+}
+
+std::vector<energy::EnergyTerm>
+contentAwareEnergyTerms(const std::vector<energy::BankGeometry> &banks,
+                        const AccessCounts &counts, u64 short_alloc_writes)
+{
+    auto idx = [](ValueType t) { return static_cast<unsigned>(t); };
+    const energy::BankGeometry &simple = banks[0];
+    const energy::BankGeometry &shortBank = banks[1];
+    const energy::BankGeometry &longBank = banks[2];
+    return {
+        // Every architectural read first reads the Simple entry (RF1).
+        {simple, counts.totalReads(), false},
+        // RF2 touches the typed sub-file for short/long values.
+        {shortBank, counts.reads[idx(ValueType::Short)], false},
+        {longBank, counts.reads[idx(ValueType::Long)], false},
+        // Every writeback writes the Simple entry (RD + value field).
+        {simple, counts.totalWrites(), true},
+        // Long-typed writebacks write the Long file.
+        {longBank, counts.writes[idx(ValueType::Long)], true},
+        // WR1 classification probes read the Short file.
+        {shortBank, counts.shortProbeReads, false},
+        // Address-path allocations write the Short file.
+        {shortBank, short_alloc_writes, true},
+    };
+}
+
+std::string
+describeContentAware(const RegFileParams &params)
+{
+    return strprintf(", d+n=%u, M=%u, K=%u", params.ca.sim.simpleFieldBits(),
+                     params.ca.sim.shortEntries(), params.ca.longEntries);
+}
+
+} // namespace
+
 namespace detail
 {
 
@@ -16,11 +71,11 @@ registerContentAwareBackend(Registry &r)
     r.add("content-aware",
           "three-sub-file content-aware organization (paper section 3)",
           [](const std::string &instance, const RegFileParams &params) {
-              auto file = std::make_unique<ContentAwareRegFile>(
+              return std::make_unique<ContentAwareRegFile>(
                   instance, params.entries, params.ca, params.threads);
-              file->setPortGeometry(params.readPorts, params.writePorts);
-              return std::unique_ptr<RegisterFile>(std::move(file));
-          });
+          },
+          {contentAwareBanks, contentAwareEnergyTerms,
+           describeContentAware});
 }
 
 } // namespace detail
@@ -374,59 +429,6 @@ ContentAwareRegFile::structureCounts() const
     sc.liveLong = liveLongEntries();
     sc.hasLongFile = true;
     return sc;
-}
-
-std::vector<BankGeometry>
-ContentAwareRegFile::banks() const
-{
-    const SimilarityParams &sim = params_.sim;
-    // Mirrors energy::caGeometry(): Simple holds the 2-bit RD field
-    // plus the d+n-bit value field per tag; Short gets one extra read
-    // port per core write port (WR1 compares) and two write ports
-    // (the address-allocation path); Long is K entries of 64-d-n+m
-    // bits.
-    return {
-        {"simple", entries_, sim.simpleFieldBits() + 2, readPorts_,
-         writePorts_},
-        {"short", sim.shortEntries(), sim.shortEntryBits(),
-         readPorts_ + writePorts_, 2},
-        {"long", params_.longEntries, params_.longEntryBits(), readPorts_,
-         writePorts_},
-    };
-}
-
-std::vector<EnergyTerm>
-ContentAwareRegFile::energyTerms(const AccessCounts &counts,
-                                 u64 short_alloc_writes) const
-{
-    auto idx = [](ValueType t) { return static_cast<unsigned>(t); };
-    std::vector<BankGeometry> b = banks();
-    const BankGeometry &simple = b[0];
-    const BankGeometry &shortBank = b[1];
-    const BankGeometry &longBank = b[2];
-    // Same accounting, same order as energy::contentAwareEnergy().
-    return {
-        // Every architectural read first reads the Simple entry (RF1).
-        {simple, counts.totalReads(), false},
-        // RF2 touches the typed sub-file for short/long values.
-        {shortBank, counts.reads[idx(ValueType::Short)], false},
-        {longBank, counts.reads[idx(ValueType::Long)], false},
-        // Every writeback writes the Simple entry (RD + value field).
-        {simple, counts.totalWrites(), true},
-        // Long-typed writebacks write the Long file.
-        {longBank, counts.writes[idx(ValueType::Long)], true},
-        // WR1 classification probes read the Short file.
-        {shortBank, counts.shortProbeReads, false},
-        // Address-path allocations write the Short file.
-        {shortBank, short_alloc_writes, true},
-    };
-}
-
-std::string
-ContentAwareRegFile::describeExtra() const
-{
-    return strprintf(", d+n=%u, M=%u, K=%u", params_.sim.simpleFieldBits(),
-                     params_.sim.shortEntries(), params_.longEntries);
 }
 
 RegisterFile::Peek

@@ -99,13 +99,6 @@ class ContentAwareRegFile : public RegisterFile
                 liveShortEntries()};
     }
 
-    std::vector<BankGeometry> banks() const override;
-    std::vector<EnergyTerm>
-    energyTerms(const AccessCounts &counts,
-                u64 short_alloc_writes) const override;
-
-    std::string describeExtra() const override;
-
     /**
      * Structural self-check (debug/testing): empty string when every
      * invariant holds, else a description of the first violation.

@@ -25,22 +25,4 @@ RegisterFile::classifyPeek(u64 value) const
     return fitsSigned(value, 20) ? ValueType::Simple : ValueType::Long;
 }
 
-std::vector<BankGeometry>
-RegisterFile::banks() const
-{
-    return {{"file", entries_, 64, readPorts_, writePorts_}};
-}
-
-std::vector<EnergyTerm>
-RegisterFile::energyTerms(const AccessCounts &counts,
-                          u64 short_alloc_writes) const
-{
-    (void)short_alloc_writes;
-    BankGeometry bank = banks().front();
-    return {
-        {bank, counts.totalReads(), false},
-        {bank, counts.totalWrites(), true},
-    };
-}
-
 } // namespace carf::regfile

@@ -22,10 +22,6 @@
  *    source at issue for the operand-mix and clustering statistics;
  *  - **snapshots**: peek() for one tag's contents, stats() for the
  *    model's counters, occupancy() once per cycle;
- *  - **energy/area/delay reporting**: banks() describes the model's
- *    storage arrays and energyTerms() its per-access accounting, both
- *    evaluated by the Rixner model in src/energy; describeExtra()
- *    suffixes configuration descriptions;
  *  - **verification**: checkInvariants(), structureCounts(), and
  *    debugInjectFault() give the shadow-oracle fuzzer structural
  *    visibility into any backend through the base class alone.
@@ -38,6 +34,9 @@
  * default, so a minimal backend implements just those four and
  * extends reset() to clear its contents. Concrete backends are
  * instantiated by name through the factory in regfile/registry.hh.
+ * Storage geometry (banks, energy accounting, description) is not a
+ * hook: it is a static function of the parameters, carried by the
+ * backend's registry entry and evaluated without a model.
  */
 
 #ifndef CARF_REGFILE_REGFILE_HH
@@ -82,29 +81,6 @@ struct AccessCounts
 
     u64 totalReads() const { return reads[0] + reads[1] + reads[2]; }
     u64 totalWrites() const { return writes[0] + writes[1] + writes[2]; }
-};
-
-/** Geometry of one storage bank of a model (Rixner evaluation). */
-struct BankGeometry
-{
-    std::string label;
-    unsigned entries = 0;
-    unsigned widthBits = 0;
-    unsigned readPorts = 0;
-    unsigned writePorts = 0;
-};
-
-/**
- * One term of a model's energy accounting: @p accesses read or write
- * accesses to @p bank. Terms are ORDERED — energy evaluation sums
- * them left to right, so a backend emits terms in its canonical
- * accounting order and the printed totals are bit-stable.
- */
-struct EnergyTerm
-{
-    BankGeometry bank;
-    u64 accesses = 0;
-    bool isWrite = false;
 };
 
 /**
@@ -261,42 +237,6 @@ class RegisterFile
     };
     virtual Occupancy occupancy() const { return {}; }
 
-    // --- energy / area / delay reporting ---
-
-    /**
-     * The model's storage banks, in canonical order. Total area is
-     * the ordered sum of per-bank areas; access time is the slowest
-     * bank. Default: one flat 64-bit array of entries() registers
-     * with the core-side port counts (see setPortGeometry()).
-     */
-    virtual std::vector<BankGeometry> banks() const;
-
-    /**
-     * Per-access energy accounting of a run with access totals
-     * @p counts (and @p short_alloc_writes internal allocation
-     * writes), as ordered terms. Default: every read and write
-     * touches the single flat bank.
-     */
-    virtual std::vector<EnergyTerm>
-    energyTerms(const AccessCounts &counts, u64 short_alloc_writes) const;
-
-    /**
-     * Core-side port counts used for geometry/energy reporting; set
-     * by the registry factory from RegFileParams. Defaults match the
-     * paper baseline (8R/6W).
-     */
-    void setPortGeometry(unsigned read_ports, unsigned write_ports)
-    {
-        readPorts_ = read_ports;
-        writePorts_ = write_ports;
-    }
-
-    /**
-     * Model-specific suffix for configuration descriptions, e.g.
-     * ", d+n=20, M=8, K=48". Empty for plain models.
-     */
-    virtual std::string describeExtra() const { return ""; }
-
     // --- verification (shadow-oracle fuzzer) ---
 
     /**
@@ -358,9 +298,6 @@ class RegisterFile
 
     std::string name_;
     unsigned entries_;
-    /** Core-side port counts for reporting (see setPortGeometry). */
-    unsigned readPorts_ = 8;
-    unsigned writePorts_ = 6;
     /** Construction-time traits (readPortPool(), hasValueTaxonomy()). */
     unsigned readPortPool_ = 0;
     bool valueTaxonomy_ = false;

@@ -15,12 +15,41 @@ namespace detail
 // the linker to keep those archive members.
 void registerFlatBackends(Registry &r);
 void registerContentAwareBackend(Registry &r);
-void registerPortReductionBackend(Registry &r);
 } // namespace detail
 
-void
-Registry::add(std::string name, std::string description, Factory factory)
+namespace
 {
+
+std::vector<energy::BankGeometry>
+flatBanks(const RegFileParams &params)
+{
+    return {{"file", params.entries, 64, params.readPorts,
+             params.writePorts}};
+}
+
+std::vector<energy::EnergyTerm>
+flatEnergyTerms(const std::vector<energy::BankGeometry> &banks,
+                const AccessCounts &counts, u64 short_alloc_writes)
+{
+    (void)short_alloc_writes;
+    return {
+        {banks.front(), counts.totalReads(), false},
+        {banks.front(), counts.totalWrites(), true},
+    };
+}
+
+} // namespace
+
+void
+Registry::add(std::string name, std::string description, Factory factory,
+              Geometry geometry)
+{
+    if (!geometry.banks)
+        geometry.banks = flatBanks;
+    if (!geometry.energyTerms)
+        geometry.energyTerms = flatEnergyTerms;
+    if (!geometry.describe)
+        geometry.describe = [](const RegFileParams &) { return std::string(); };
     std::lock_guard<std::mutex> lock(mutex_);
     for (const auto &b : backends_) {
         if (b->name == name)
@@ -30,6 +59,7 @@ Registry::add(std::string name, std::string description, Factory factory)
     backend->name = std::move(name);
     backend->description = std::move(description);
     backend->factory = std::move(factory);
+    backend->geometry = std::move(geometry);
     backends_.push_back(std::move(backend));
 }
 
@@ -78,7 +108,6 @@ registry()
     static bool initialized = [] {
         detail::registerFlatBackends(r);
         detail::registerContentAwareBackend(r);
-        detail::registerPortReductionBackend(r);
         return true;
     }();
     (void)initialized;

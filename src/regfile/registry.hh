@@ -9,6 +9,13 @@
  * fuzzer — registration alone makes a backend simulatable,
  * benchmarkable, and fuzzable everywhere.
  *
+ * A registration also carries the backend's storage geometry as
+ * static functions of its parameters (Registry::Geometry): the banks
+ * and energy terms the Rixner model in src/energy evaluates, and the
+ * configuration-description suffix. Reports read them without
+ * building a model; a registration that supplies none gets one flat
+ * 64-bit file.
+ *
  * Built-in backends live in their own translation units and are
  * registered on first use of registry() (which also anchors their
  * archive members against linker dead-stripping); external backends —
@@ -25,9 +32,9 @@
 #include <string>
 #include <vector>
 
+#include "energy/rixner.hh"
+#include "regfile/baseline.hh"
 #include "regfile/content_aware.hh"
-#include "regfile/port_reduction.hh"
-#include "regfile/regfile.hh"
 
 namespace carf::regfile
 {
@@ -41,7 +48,7 @@ struct RegFileParams
 {
     /** Physical tags. */
     unsigned entries = 112;
-    /** Core-side read/write ports (geometry/energy reporting). */
+    /** Core-side read/write ports (the banks' port counts). */
     unsigned readPorts = 8;
     unsigned writePorts = 6;
     /** Hardware threads sharing the file (sizes per-thread counters). */
@@ -59,11 +66,41 @@ class Registry
     using Factory = std::function<std::unique_ptr<RegisterFile>(
         const std::string &instance, const RegFileParams &params)>;
 
+    /**
+     * A backend's storage as static functions of its parameters. A
+     * member left empty gets the flat default: one 64-bit bank of
+     * `entries` registers with the core ports, every read and write
+     * charged to it, and no description suffix.
+     */
+    struct Geometry
+    {
+        /**
+         * The storage banks, in canonical order. Area is their
+         * ordered sum; access time is the slowest bank.
+         */
+        std::function<std::vector<energy::BankGeometry>(
+            const RegFileParams &params)>
+            banks;
+        /**
+         * Energy accounting of a run with access totals @p counts and
+         * @p short_alloc_writes internal allocation writes, as ordered
+         * terms over the @p banks that banks() built.
+         */
+        std::function<std::vector<energy::EnergyTerm>(
+            const std::vector<energy::BankGeometry> &banks,
+            const AccessCounts &counts, u64 short_alloc_writes)>
+            energyTerms;
+        /** Configuration-description suffix, e.g. ", d+n=20, M=8, K=48". */
+        std::function<std::string(const RegFileParams &params)> describe;
+    };
+
     struct Backend
     {
         std::string name;
         std::string description;
         Factory factory;
+        /** Every member set: add() fills the flat defaults. */
+        Geometry geometry;
     };
 
     Registry() = default;
@@ -71,7 +108,8 @@ class Registry
     Registry &operator=(const Registry &) = delete;
 
     /** Register a backend; fatal() on a duplicate name. */
-    void add(std::string name, std::string description, Factory factory);
+    void add(std::string name, std::string description, Factory factory,
+             Geometry geometry = {});
 
     /** Look up a backend; nullptr when unknown. */
     const Backend *find(const std::string &name) const;

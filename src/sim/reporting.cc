@@ -17,12 +17,12 @@ describeConfig(const core::CoreParams &params)
     std::string desc = params.regFileBackend;
     desc += strprintf(" (%u regs, %uR/%uW", params.physIntRegs,
                       params.intRfReadPorts, params.intRfWritePorts);
-    // The model knows its own parameters: "d+n=20, M=8, K=48" for the
-    // content-aware file, "shared-rd=4" for port reduction, nothing
-    // for plain files.
-    desc += regfile::makeRegFile(params.regFileBackend,
-                                 params.regFileParams(), "describe")
-                ->describeExtra();
+    // The backend's registry entry describes its own parameters:
+    // "d+n=20, M=8, K=48" for the content-aware file, "shared-rd=4"
+    // for port reduction, nothing for plain files.
+    desc += regfile::registry()
+                .at(params.regFileBackend)
+                .geometry.describe(params.regFileParams());
     desc += ")";
     return desc;
 }

@@ -187,6 +187,7 @@ configureRun(const Config &config, SimOptions &options,
     } else if (backend == "port-reduction") {
         params.portRed.sharedReadPorts = config.getU32(
             "shared_read_ports", params.portRed.sharedReadPorts);
+        params.portRed.validate();
     }
     options.maxInsts = config.getU64("insts", options.maxInsts);
     options.fastForward = config.getU64("fast_forward", options.fastForward);

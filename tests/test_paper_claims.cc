@@ -83,16 +83,12 @@ TEST(PaperClaims, FpIpcLossIsNegligible)
 
 TEST(PaperClaims, EnergyHalvedVsBaseline)
 {
-    energy::RixnerModel model;
-    auto params = core::CoreParams::contentAware(20);
-    auto geom = energy::caGeometry(params.physIntRegs, params.ca);
-
-    double ca = energy::contentAwareEnergy(
-        model, geom, fixture().caInt.totalAccesses(),
-        fixture().caInt.totalShortWrites());
-    double baseline = energy::conventionalEnergy(
-        model, energy::baselineGeometry(),
-        fixture().baselineInt.totalAccesses());
+    double ca = energy::FileCost(core::CoreParams::contentAware(20))
+                    .energy(fixture().caInt.totalAccesses(),
+                            fixture().caInt.totalShortWrites());
+    double baseline = energy::FileCost(core::CoreParams::baseline())
+                          .energy(fixture().baselineInt.totalAccesses(),
+                                  0);
     // Paper: ~50% of baseline. Accept 35-65%.
     double ratio = ca / baseline;
     EXPECT_GT(ratio, 0.30);
@@ -211,12 +207,9 @@ TEST(PaperClaims, FrequencyScaledSpeedupPositive)
 {
     // §5: with the ~15% access-time headroom the IPC loss turns into
     // a speed-up.
-    energy::RixnerModel model;
-    auto params = core::CoreParams::contentAware(20);
-    auto geom = energy::caGeometry(params.physIntRegs, params.ca);
     double gain = sim::potentialFrequencyGain(
-        model.accessTime(energy::baselineGeometry()),
-        energy::caMaxAccessTime(model, geom));
+        energy::FileCost(core::CoreParams::baseline()).accessTime(),
+        energy::FileCost(core::CoreParams::contentAware(20)).accessTime());
     double rel = sim::meanRelativeIpc(fixture().caInt,
                                       fixture().baselineInt);
     EXPECT_GT(sim::frequencyScaledSpeedup(rel, gain), 0.0);

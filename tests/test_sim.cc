@@ -108,6 +108,10 @@ TEST(ConfigureRunDeathTest, BadKnobsAreFatal)
     EXPECT_DEATH(configured({"config=content-aware", "n=8", "d_plus_n=8"},
                             options),
                  "must exceed");
+    EXPECT_DEATH(configured({"config=port-reduction",
+                             "shared_read_ports=1"},
+                            options),
+                 "at least 2 shared read ports");
     EXPECT_DEATH(configured({"config=ca"}, options),
                  "unknown register-file backend 'ca'");
     // Another backend's keys stay unread, so they are fatal.
