@@ -7,25 +7,16 @@
 namespace carf::emu
 {
 
-namespace
-{
-
-/**
- * Conservative encoded-bytes-per-record estimate used to refuse
- * hopeless builds up front (pc 4 + decode 4 + flags ~1/8 + values 32,
- * rounded up). The post-build check uses exact sizes.
- */
-constexpr u64 kEstBytesPerRecord = 41;
-
 u64
-estimateBytes(u64 max_insts)
+TraceCache::estimateBytes(u64 max_insts)
 {
-    if (max_insts > ~u64{0} / kEstBytesPerRecord)
+    // A conservative per-record bound refuses hopeless builds up
+    // front; the post-build check uses exact sizes.
+    constexpr u64 per_record = TraceBuffer::kMaxEmulatedRecordBytes;
+    if (max_insts > ~u64{0} / per_record)
         return ~u64{0};
-    return max_insts * kEstBytesPerRecord;
+    return max_insts * per_record;
 }
-
-} // namespace
 
 TraceCache::TraceCache(u64 byte_budget) : byteBudget_(byte_budget)
 {

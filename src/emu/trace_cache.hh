@@ -52,6 +52,13 @@ class TraceCache
     u64 byteBudget() const { return byteBudget_; }
 
     /**
+     * Encoded bytes a @p max_insts emulator trace can take at most;
+     * acquire() refuses to build a trace whose estimate exceeds the
+     * byte budget.
+     */
+    static u64 estimateBytes(u64 max_insts);
+
+    /**
      * Return a buffer covering the first @p max_insts instructions of
      * workload @p name, building it from @p builder at most once per
      * (workload, sufficient-budget) across all threads.

@@ -1,7 +1,9 @@
 /**
  * @file
  * Tests for the in-memory trace subsystem: TraceBuffer's derived-field
- * encoding and replay cursor, the trace-file round trip, TraceCache's
+ * encoding (emulator streams store no derivable field; irregular
+ * records replay verbatim) and replay cursor, the cache's size
+ * estimate, the trace-file round trip, TraceCache's
  * build-once/budget/LRU contracts, and — the load-bearing property —
  * bit-identical simulation results between streaming emulation and
  * cached zero-copy replay, serially and under ExperimentRunner
@@ -11,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -75,6 +78,39 @@ class SyntheticSource : public TraceSource
     u64 pc_ = 0;
     Rng rng_;
 };
+
+/** Replays a fixed record vector. */
+class VectorSource : public TraceSource
+{
+  public:
+    explicit VectorSource(const std::vector<DynOp> &ops) : ops_(&ops) {}
+
+    bool next(DynOp &out) override
+    {
+        if (pos_ >= ops_->size())
+            return false;
+        out = (*ops_)[pos_++];
+        return true;
+    }
+
+    std::string name() const override { return "vector"; }
+
+  private:
+    const std::vector<DynOp> *ops_;
+    size_t pos_ = 0;
+};
+
+/** Build every registered workload's trace at @p insts into @p fn. */
+template <typename Fn>
+void
+forEachEmulatedTrace(u64 insts, Fn fn)
+{
+    for (const auto &w : workloads::allWorkloads()) {
+        auto trace = workloads::makeTrace(w, insts);
+        auto buffer = TraceBuffer::build(*trace, w.name, insts);
+        fn(w.name, *buffer);
+    }
+}
 
 void
 expectSameOp(const DynOp &a, const DynOp &b, u64 index)
@@ -255,9 +291,114 @@ TEST(TraceBuffer, EncodingIsSmallerThanTheNaiveDynOpArray)
     auto buffer = TraceBuffer::build(source, "synthetic", 10000);
     auto sizes = buffer->fieldSizes();
     EXPECT_GT(sizes.total(), 0u);
-    // ~41 B/record vs the 64+ B DynOp: demand at least a 1.5x win.
+    // SyntheticSource's random values make every record irregular, so
+    // each keeps its value fields verbatim (~44 B/record) vs the 72 B
+    // DynOp: demand at least a 1.5x win even so.
     EXPECT_LT(sizes.total() * 3, buffer->size() * sizeof(DynOp) * 2);
     EXPECT_GE(buffer->memoryBytes(), sizes.total());
+}
+
+TEST(TraceBuffer, EmulatedTracesStoreOnlyUnderivedFields)
+{
+    forEachEmulatedTrace(100000, [](const std::string &name,
+                                    const TraceBuffer &buffer) {
+        EXPECT_EQ(buffer.irregularRecords(), 0u) << name;
+        EXPECT_EQ(buffer.fieldSizes().irregular, 0u) << name;
+        EXPECT_LE(buffer.fieldSizes().total(), 16 * buffer.size())
+            << name;
+    });
+}
+
+TEST(TraceBuffer, IrregularRecordsReplayExactly)
+{
+    std::vector<DynOp> ops;
+    auto trace =
+        workloads::makeTrace(workloads::findWorkload("hash_table"), 4000);
+    DynOp op;
+    while (trace->next(op))
+        ops.push_back(op);
+    ASSERT_EQ(ops.size(), 4000u);
+
+    auto find = [&ops](u64 from, auto pred) {
+        for (u64 i = from; i + 1 < ops.size(); ++i) {
+            if (pred(ops[i], ops[i + 1]))
+                return i;
+        }
+        ADD_FAILURE() << "no candidate record after " << from;
+        return from;
+    };
+    auto reads_int = [](const DynOp &o, u8 reg) {
+        const isa::OpInfo &info = o.info();
+        return (info.rs1Class == isa::RegClass::Int && o.rs1 == reg) ||
+               (info.rs2Class == isa::RegClass::Int && o.rs2 == reg);
+    };
+
+    // (1) A flipped rs1Value on a record whose result a later record
+    // reads. Its rdValue changes too, and so do the source values of
+    // the readers up to the next write of rd: those readers stay
+    // derivable only if the irregular record's rdValue retires.
+    u64 flipped = find(100, [&](const DynOp &o, const DynOp &after) {
+        return o.info().rs1Class == isa::RegClass::Int &&
+               o.writesIntReg() && reads_int(after, o.rd);
+    });
+    ops[flipped].rs1Value ^= 1;
+    u8 reg = ops[flipped].rd;
+    u64 retired = ops[flipped].rdValue ^ 0xf00d;
+    ops[flipped].rdValue = retired;
+    u64 readers = 0;
+    for (u64 j = flipped + 1; j < ops.size(); ++j) {
+        const isa::OpInfo &info = ops[j].info();
+        if (info.rs1Class == isa::RegClass::Int && ops[j].rs1 == reg)
+            ops[j].rs1Value = retired, ++readers;
+        if (info.rs2Class == isa::RegClass::Int && ops[j].rs2 == reg)
+            ops[j].rs2Value = retired, ++readers;
+        if (ops[j].writesIntReg() && ops[j].rd == reg)
+            break;
+    }
+    EXPECT_GT(readers, 0u);
+
+    // (2) An effective address on an ALU op.
+    u64 alu = find(1000, [](const DynOp &o, const DynOp &) {
+        return o.info().opClass == isa::OpClass::IntAlu;
+    });
+    ops[alu].effAddr = 0x1234;
+
+    // (3) A result on x0 (a jump whose link is discarded).
+    u64 x0 = find(2000, [](const DynOp &o, const DynOp &) {
+        return isa::writesIntReg(o.op) && o.rd == 0;
+    });
+    ops[x0].rdValue = 0xbad;
+
+    // (4) A non-taken record whose successor is not pc+1. The
+    // successor is taken, so its own nextPc is stored, not derived.
+    u64 jumped = find(3000, [](const DynOp &o, const DynOp &after) {
+        return !o.taken && after.taken;
+    });
+    ops[jumped].nextPc = ops[jumped].pc + 5;
+    ops[jumped + 1].pc = ops[jumped].nextPc;
+
+    VectorSource source(ops);
+    auto buffer = TraceBuffer::build(source, "perturbed", ops.size());
+    EXPECT_EQ(buffer->irregularRecords(), 4u);
+    EXPECT_GT(buffer->fieldSizes().irregular, 0u);
+
+    TraceBuffer::Cursor cursor(*buffer);
+    VectorSource expected(ops);
+    expectSameStream(expected, cursor);
+    cursor.reset();
+    VectorSource again(ops);
+    expectSameStream(again, cursor);
+
+    for (u64 at : {u64{0}, flipped, flipped + 1, alu, x0, x0 + 1, jumped,
+                   jumped + 1, u64{ops.size()}}) {
+        SCOPED_TRACE(at);
+        TraceBuffer::Cursor skipped(*buffer);
+        skipped.skip(at);
+        EXPECT_EQ(skipped.position(), at);
+        std::vector<DynOp> tail(ops.begin() + at, ops.end());
+        VectorSource rest(tail);
+        expectSameStream(rest, skipped);
+    }
 }
 
 TEST(MeteredSource, MatchesFreshEmulationAcrossBlockEdges)
@@ -383,6 +524,29 @@ TEST(TraceCache, OversizeRequestFallsBackWithoutBuilding)
     ASSERT_TRUE(small);
     EXPECT_TRUE(built);
     EXPECT_EQ(small->size(), 1000u);
+}
+
+TEST(TraceCache, EstimateBoundsEveryEmulatedTrace)
+{
+    // The per-record bound assumes no memory op is also a control
+    // transfer (a load's rdValue + effAddr is the largest record).
+    for (size_t i = 0; i < size_t(isa::Opcode::NumOpcodes); ++i) {
+        auto op = static_cast<isa::Opcode>(i);
+        EXPECT_FALSE(isa::isMem(op) && isa::isBranch(op))
+            << isa::opcodeName(op);
+    }
+
+    double largest = 0.0;
+    forEachEmulatedTrace(100000, [&largest](const std::string &name,
+                                            const TraceBuffer &buffer) {
+        EXPECT_LE(buffer.memoryBytes(),
+                  TraceCache::estimateBytes(buffer.size()))
+            << name;
+        largest = std::max(largest, double(buffer.fieldSizes().total()) /
+                                        buffer.size());
+    });
+    // Tight as well as safe: a loose estimate refuses traces that fit.
+    EXPECT_LE(double(TraceCache::estimateBytes(1)), 2 * largest);
 }
 
 TEST(TraceCache, LruEvictionKeepsResidencyUnderTheByteBudget)

@@ -9,9 +9,11 @@
  *   carf_trace_dump footprint <workload>|<path> [insts]
  *       Build the in-memory TraceBuffer for a workload (by name) or a
  *       recorded trace file and print its memory footprint: record
- *       count, per-field byte breakdown of the structure-of-arrays
- *       encoding, bytes per record, and the ratio to the naive DynOp
- *       array a streaming replayer would hold.
+ *       count, irregular-record count, per-field byte breakdown of the
+ *       encoding (decode bytes, flag bits, compact values, taken
+ *       targets, verbatim irregular records), bytes per record, and
+ *       the ratio to the naive DynOp array a streaming replayer would
+ *       hold.
  *
  *   carf_trace_dump head <path> [count]
  *       Print the first [count] (default 10) records of a trace file.
@@ -71,18 +73,20 @@ cmdFootprint(const std::string &arg, u64 insts)
     std::printf("trace '%s': %llu records%s\n", buffer->name().c_str(),
                 (unsigned long long)records,
                 buffer->sawHalt() ? " (source ended before budget)" : "");
-    printSize("pc", sizes.pc, records);
+    std::printf("  %llu irregular records (value fields kept verbatim)\n",
+                (unsigned long long)buffer->irregularRecords());
     printSize("decode", sizes.decode, records);
     printSize("flags", sizes.flags, records);
     printSize("values", sizes.values, records);
-    printSize("effaddr", sizes.effAddr, records);
+    printSize("targets", sizes.targets, records);
+    printSize("irregular", sizes.irregular, records);
     printSize("total", sizes.total(), records);
     std::printf("  resident   %10.2f KiB (incl. vector overhead)\n",
                 buffer->memoryBytes() / 1024.0);
 
     u64 naive = records * sizeof(emu::DynOp);
     std::printf("naive DynOp array: %.2f KiB (%zu B/record); "
-                "SoA encoding is %.2fx smaller\n",
+                "the encoding is %.2fx smaller\n",
                 naive / 1024.0, sizeof(emu::DynOp),
                 sizes.total() ? double(naive) / sizes.total() : 0.0);
     return 0;
