@@ -3,7 +3,8 @@
  * Google-benchmark microbenchmarks of the trace subsystem: trace
  * build (emulate + encode) cost, emulator construction (the data
  * segment preload into the paged memory image), zero-copy cursor
- * replay vs streaming emulation throughput, the cost of metering
+ * replay vs streaming emulation throughput (build and replay also
+ * report time and resident bytes per record), the cost of metering
  * streamed emulation per record vs per block (MeteredSource), and the
  * headline experiment-engine number — a 4-configuration sweep over
  * the full workload suite with and without the shared TraceCache. The
@@ -43,6 +44,21 @@ sweepConfigs()
     };
 }
 
+/**
+ * Report host time per record (seconds, printed with an SI prefix)
+ * and the encoding's resident bytes per record of @p buffer, after
+ * @p state's loop.
+ */
+void
+reportPerRecord(benchmark::State &state, const emu::TraceBuffer &buffer)
+{
+    state.counters["time_per_record"] = benchmark::Counter(
+        static_cast<double>(state.items_processed()),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    state.counters["B_per_record"] =
+        static_cast<double>(buffer.memoryBytes()) / buffer.size();
+}
+
 void
 BM_TraceBuild(benchmark::State &state)
 {
@@ -50,13 +66,15 @@ BM_TraceBuild(benchmark::State &state)
     // cost a cache hit amortizes away.
     const auto &w = workloads::findWorkload("hash_table");
     u64 insts = static_cast<u64>(state.range(0));
+    std::unique_ptr<emu::TraceBuffer> buffer;
     for (auto _ : state) {
         auto source = workloads::makeTrace(w, insts);
-        auto buffer = emu::TraceBuffer::build(*source, w.name, insts);
+        buffer = emu::TraceBuffer::build(*source, w.name, insts);
         benchmark::DoNotOptimize(buffer->size());
         state.SetItemsProcessed(state.items_processed() +
                                 static_cast<i64>(buffer->size()));
     }
+    reportPerRecord(state, *buffer);
 }
 BENCHMARK(BM_TraceBuild)->Arg(1 << 18)->Unit(benchmark::kMillisecond);
 
@@ -189,6 +207,7 @@ BM_CursorReplay(benchmark::State &state)
         emu::TraceBuffer::Cursor cursor(*buffer);
         drain(cursor, state);
     }
+    reportPerRecord(state, *buffer);
 }
 BENCHMARK(BM_CursorReplay)->Arg(1 << 18)->Unit(benchmark::kMillisecond);
 

@@ -11,14 +11,18 @@ namespace carf::emu
 namespace
 {
 
+constexpr u8 kZeroSlot = 2 * isa::numArchRegs;
+/** Takes the replay-side store of a record that writes nothing. */
+constexpr u8 kDiscardSlot = kZeroSlot + 1;
+constexpr u8 kRegMask = isa::numArchRegs - 1;
+
 /**
- * What the encoding needs to know of an opcode, as register-slot
- * arithmetic: an operand with base b and mask m lives in slot
- * b + (index & m). An unused source is slot 64 (always 0); a
- * destination slot of 0 (x0, or an op that writes nothing) means the
- * record writes no register.
+ * An operand's register slot as base + (index & mask), by opcode.
+ * Indexed by the raw opcode byte. Bytes past NumOpcodes read nothing
+ * and write nothing, so any source record encodes (as irregular when
+ * its values say otherwise).
  */
-struct alignas(8) OpTraits
+struct OpTraits
 {
     u8 src1Base;
     u8 src1Mask;
@@ -28,11 +32,6 @@ struct alignas(8) OpTraits
     u8 dstMask;
     bool mem;
 };
-
-constexpr u8 kZeroSlot = 2 * isa::numArchRegs;
-/** Takes the replay-side store of a record that writes nothing. */
-constexpr u8 kDiscardSlot = kZeroSlot + 1;
-constexpr u8 kRegMask = isa::numArchRegs - 1;
 
 /** (base, mask) of an operand of register class @p c. */
 std::pair<u8, u8>
@@ -46,11 +45,6 @@ slotOf(isa::RegClass c, u8 none_base)
     return {none_base, 0};
 }
 
-/**
- * Indexed by the raw opcode byte. Bytes past NumOpcodes read nothing
- * and write nothing, so any source record encodes (as irregular when
- * its values say otherwise).
- */
 const std::array<OpTraits, 256> kTraits = [] {
     std::array<OpTraits, 256> table{};
     for (auto &t : table)
@@ -69,105 +63,267 @@ const std::array<OpTraits, 256> kTraits = [] {
     return table;
 }();
 
-/** Flag bits of one record; 32 records share a flags word. */
-constexpr unsigned kTakenFlag = 1;
-constexpr unsigned kIrregularFlag = 2;
+/**
+ * The control byte of a record: a 2-bit rdValue code (which
+ * prediction holds, or "stored"), then one bit each for taken,
+ * irregular and the mispredicted decode, effAddr and taken target.
+ */
+constexpr unsigned kValueCodeMask = 3;
+constexpr unsigned kValueStored = 0;
+constexpr unsigned kValueLast = 1;
+constexpr unsigned kValueStride = 2;
+constexpr unsigned kValueDelta = 3;
+constexpr unsigned kTakenFlag = 1 << 2;
+constexpr unsigned kIrregularFlag = 1 << 3;
+constexpr unsigned kDecodeMissFlag = 1 << 4;
+constexpr unsigned kAddrMissFlag = 1 << 5;
+constexpr unsigned kTargetMissFlag = 1 << 6;
 
-unsigned
-flagsOf(const std::vector<u64> &flags, u64 index)
+/**
+ * @p c ? @p a : @p b as a mask, which compilers keep branch-free:
+ * a branch on whether a field was stored mispredicts on every other
+ * record.
+ */
+inline u64
+pick(bool c, u64 a, u64 b)
 {
-    return (flags[index >> 5] >> ((index & 31) * 2)) & 3;
+    return b ^ ((a ^ b) & -u64{c});
+}
+
+/**
+ * Append @p value to a compact array. The arrays end in a pad entry,
+ * so replay may read one past its position: a field takes the pad's
+ * place and a new pad follows.
+ */
+template <typename T>
+void
+store(std::vector<T> &v, T value)
+{
+    v.back() = value;
+    v.push_back(T{});
 }
 
 } // namespace
 
+inline void
+TraceBuffer::Predictor::redecode(PredictorEntry &e, Decode d)
+{
+    const OpTraits &t = kTraits[d.op];
+    u8 dst = t.dstBase + (d.rd & t.dstMask);
+    e.decode = d;
+    e.slots = {static_cast<u8>(t.src1Base + (d.rs1 & t.src1Mask)),
+               static_cast<u8>(t.src2Base + (d.rs2 & t.src2Mask)),
+               dst != 0 ? dst : kDiscardSlot, t.mem};
+}
+
+const TraceBuffer::PredictorEntry TraceBuffer::Predictor::kCold = [] {
+    PredictorEntry e{};
+    redecode(e, {});
+    return e;
+}();
+
+TraceBuffer::Predictor::Predictor() : table_(kPredictorEntries, kCold)
+{
+}
+
+inline TraceBuffer::PredictorEntry &
+TraceBuffer::Predictor::lookup(u64 pc)
+{
+    PredictorEntry &e = table_[pc & (kPredictorEntries - 1)];
+    if (e.tag != static_cast<u32>(pc)) [[unlikely]] {
+        e = kCold;
+        e.tag = static_cast<u32>(pc);
+    }
+    return e;
+}
+
+inline void
+TraceBuffer::Predictor::update(PredictorEntry &e, u64 rs1_value,
+                               u64 rd_value, u64 eff_addr, u64 target)
+{
+    // Unconditional, so replay does not branch on the record: a pc's
+    // value and displacement history only predicts that pc's rdValue
+    // and effAddr, so a non-writer's or non-memory op's junk history
+    // is never read.
+    e.value[kValueStride] = rd_value + (rd_value - e.value[kValueLast]);
+    e.value[kValueLast] = rd_value;
+    e.value[kValueDelta] = rd_value - rs1_value;
+    e.disp = eff_addr - rs1_value;
+    e.target = static_cast<u32>(target);
+}
+
+void
+TraceBuffer::Predictor::clear()
+{
+    std::fill(table_.begin(), table_.end(), kCold);
+}
+
+/**
+ * Encodes records in program order against the registers and the
+ * predictor a Cursor will have when it reaches them. Lives only for
+ * the build, so a finished buffer carries no encoder state.
+ */
+class TraceBuffer::Encoder
+{
+  public:
+    explicit Encoder(TraceBuffer &buffer) : b_(buffer) {}
+
+    /** Append one record; ops must arrive in program order. */
+    void append(const DynOp &op);
+
+  private:
+    TraceBuffer &b_;
+    Registers regs_{};
+    /** nextPc of the last record: the pc the next one must have. */
+    u64 pc_ = 0;
+    Predictor predictor_;
+};
+
 TraceBuffer::TraceBuffer(std::string name, u64 requested_budget)
     : name_(std::move(name)), requestedBudget_(requested_budget),
-      values_(1), targets_(1)
+      decode_(1), values_(1), targets_(1)
 {
 }
 
 std::unique_ptr<TraceBuffer>
-TraceBuffer::build(TraceSource &source, std::string name, u64 max_insts)
+TraceBuffer::build(TraceSource &source, std::string name, u64 max_insts,
+                   u64 byte_budget)
 {
-    auto buffer =
-        std::make_unique<TraceBuffer>(std::move(name), max_insts);
-    // Reserving the per-record arrays up front saves their
-    // geometric-growth copies (and their shrinkToFit copy when the
-    // budget is reached exactly); the compact arrays' lengths depend
-    // on the stream, so they grow as records arrive. The cap
-    // bounds the transient overcommit for huge budgets on short
-    // programs; past it, geometric growth takes over as usual.
-    buffer->reserve(std::min(max_insts, u64{1} << 22));
+    std::unique_ptr<TraceBuffer> buffer(
+        new TraceBuffer(std::move(name), max_insts));
+    // Reserving the control bytes up front saves their geometric-
+    // growth copies (and their shrink copy when the budget is reached
+    // exactly); the compact arrays' lengths depend on the stream, so
+    // they grow as records arrive. The caps bound the transient
+    // overcommit for huge budgets on short programs; past them,
+    // geometric growth takes over as usual.
+    buffer->control_.reserve(
+        std::min({max_insts, u64{1} << 22, byte_budget}));
+    Encoder encoder(*buffer);
     DynOp op;
-    for (u64 i = 0; i < max_insts && source.next(op); ++i)
-        buffer->append(op);
-    buffer->shrinkToFit();
+    for (u64 i = 0; i < max_insts && source.next(op); ++i) {
+        encoder.append(op);
+        if ((i + 1) % MeteredSource::blockRecords == 0 &&
+            buffer->encodedBytes() > byte_budget) {
+            return nullptr;
+        }
+    }
+    buffer->control_.shrink_to_fit();
+    buffer->decode_.shrink_to_fit();
+    buffer->values_.shrink_to_fit();
+    buffer->targets_.shrink_to_fit();
+    buffer->irregular_.shrink_to_fit();
+    if (buffer->memoryBytes() > byte_budget)
+        return nullptr;
     return buffer;
 }
 
 void
-TraceBuffer::append(const DynOp &op)
+TraceBuffer::Encoder::append(const DynOp &op)
 {
-    if (empty()) {
-        baseSeq_ = op.seq;
-        firstPc_ = op.pc;
+    TraceBuffer &b = b_;
+    if (b.empty()) {
+        b.baseSeq_ = op.seq;
+        b.firstPc_ = op.pc;
     } else {
         // Derivation requires a well-formed program-order stream:
         // dense sequence numbers, and each record's pc equal to its
         // predecessor's nextPc.
-        u64 expect_seq = baseSeq_ + size();
+        u64 expect_seq = b.baseSeq_ + b.size();
         if (op.seq != expect_seq)
             panic("TraceBuffer '%s': non-contiguous seq %llu "
                   "(expected %llu)",
-                  name_.c_str(), (unsigned long long)op.seq,
+                  b.name_.c_str(), (unsigned long long)op.seq,
                   (unsigned long long)expect_seq);
-        if (op.pc != tailPc_)
+        if (op.pc != pc_)
             panic("TraceBuffer '%s': record %llu pc %llu does not "
                   "follow predecessor nextPc %llu",
-                  name_.c_str(), (unsigned long long)size(),
+                  b.name_.c_str(), (unsigned long long)b.size(),
                   (unsigned long long)op.pc,
-                  (unsigned long long)tailPc_);
+                  (unsigned long long)pc_);
     }
 
-    u64 index = size();
-    u8 opcode = static_cast<u8>(op.op);
-    const OpTraits &t = kTraits[opcode];
-    auto &regs = tailRegs_;
-    unsigned dst = t.dstBase + (op.rd & t.dstMask);
-    bool regular =
-        op.rs1Value == regs[t.src1Base + (op.rs1 & t.src1Mask)] &&
-        op.rs2Value == regs[t.src2Base + (op.rs2 & t.src2Mask)] &&
-        (dst != 0 || op.rdValue == 0) && (t.mem || op.effAddr == 0) &&
-        (op.taken ? op.nextPc <= ~u32{0} : op.nextPc == op.pc + 1);
-
-    decode_.push_back({opcode, op.rd, op.rs1, op.rs2});
-    unsigned flags = (op.taken ? kTakenFlag : 0) |
-                     (regular ? 0 : kIrregularFlag);
-    if ((index & 31) == 0)
-        flags_.push_back(0);
-    flags_[index >> 5] |= u64{flags} << ((index & 31) * 2);
-    if (regular) {
-        // The compact arrays end in a pad entry, so replay may read
-        // one past its position: a field takes the pad's place and a
-        // new pad follows. rdValue and effAddr share one array.
-        auto store = [](auto &v, auto value) {
-            v.back() = value;
-            v.push_back(0);
-        };
-        if (dst != 0)
-            store(values_, op.rdValue);
-        if (t.mem)
-            store(values_, op.effAddr);
-        if (op.taken)
-            store(targets_, static_cast<u32>(op.nextPc));
+    PredictorEntry &e = predictor_.lookup(op.pc);
+    PredictionStats &stats = b.stats_;
+    unsigned control = op.taken ? kTakenFlag : 0;
+    const Decode d{static_cast<u8>(op.op), op.rd, op.rs1, op.rs2};
+    ++stats.decode.records;
+    if (d == e.decode) {
+        ++stats.decode.hits;
     } else {
-        irregular_.push_back({op.rs1Value, op.rs2Value, op.rdValue,
-                              op.effAddr, op.nextPc});
+        control |= kDecodeMissFlag;
+        store(b.decode_, d);
+        Predictor::redecode(e, d);
     }
-    if (dst != 0)
-        regs[dst] = op.rdValue;
-    tailPc_ = op.nextPc;
+    const Slots slots = e.slots;
+    bool writes = slots.dst != kDiscardSlot;
+    auto &regs = regs_;
+    bool regular = op.rs1Value == regs[slots.src1] &&
+                   op.rs2Value == regs[slots.src2] &&
+                   (writes || op.rdValue == 0) &&
+                   (slots.mem || op.effAddr == 0) &&
+                   (op.taken ? op.nextPc <= ~u32{0}
+                             : op.nextPc == op.pc + 1);
+
+    if (regular) {
+        // rdValue and effAddr share one array, rdValue first. A
+        // non-writer's rdValue (0) is predicted or stored like any
+        // other, so replay need not mask it; its pc's last value is 0.
+        unsigned code = kValueStored;
+        u64 value = op.rdValue;
+        if (value == e.value[kValueLast])
+            code = kValueLast;
+        else if (value == e.value[kValueStride])
+            code = kValueStride;
+        else if (value == op.rs1Value + e.value[kValueDelta])
+            code = kValueDelta;
+        else
+            store(b.values_, value);
+        control |= code;
+        if (writes) {
+            ++stats.rdValue.records;
+            if (code != kValueStored) {
+                ++stats.rdValue.hits;
+                ++stats.rdValueByCode[code - 1];
+            }
+        }
+        if (slots.mem) {
+            ++stats.effAddr.records;
+            if (op.effAddr == op.rs1Value + e.disp) {
+                ++stats.effAddr.hits;
+            } else {
+                control |= kAddrMissFlag;
+                store(b.values_, op.effAddr);
+            }
+        }
+        if (op.taken) {
+            ++stats.target.records;
+            if (op.nextPc == e.target) {
+                ++stats.target.hits;
+            } else {
+                control |= kTargetMissFlag;
+                store(b.targets_, static_cast<u32>(op.nextPc));
+            }
+        }
+    } else {
+        control |= kIrregularFlag;
+        b.irregular_.push_back({op.rs1Value, op.rs2Value, op.rdValue,
+                                op.effAddr, op.nextPc});
+    }
+    b.control_.push_back(static_cast<u8>(control));
+    Predictor::update(e, op.rs1Value, op.rdValue, op.effAddr,
+                      op.taken ? op.nextPc : e.target);
+    regs[slots.dst] = op.rdValue;
+    pc_ = op.nextPc;
+}
+
+u64
+TraceBuffer::encodedBytes() const
+{
+    auto bytes = [](const auto &v) { return v.size() * sizeof(v[0]); };
+    return bytes(control_) + bytes(decode_) + bytes(values_) +
+           bytes(targets_) + bytes(irregular_) + sizeof(*this) +
+           name_.capacity();
 }
 
 u64
@@ -183,35 +339,19 @@ TraceBuffer::fieldSizes() const
         return v.capacity() * sizeof(v[0]);
     };
     FieldSizes sizes;
+    sizes.control = bytes(control_);
     sizes.decode = bytes(decode_);
-    sizes.flags = bytes(flags_);
     sizes.values = bytes(values_);
     sizes.targets = bytes(targets_);
     sizes.irregular = bytes(irregular_);
     return sizes;
 }
 
-void
-TraceBuffer::reserve(u64 records)
-{
-    decode_.reserve(records);
-    flags_.reserve((records + 31) / 32);
-}
-
-void
-TraceBuffer::shrinkToFit()
-{
-    decode_.shrink_to_fit();
-    flags_.shrink_to_fit();
-    values_.shrink_to_fit();
-    targets_.shrink_to_fit();
-    irregular_.shrink_to_fit();
-}
-
 TraceBuffer::Cursor::Cursor(const TraceBuffer &buffer, u64 max_insts)
-    : buffer_(&buffer), limit_(std::min(buffer.size(), max_insts))
+    : buffer_(&buffer), limit_(std::min(buffer.size(), max_insts)),
+      pc_(buffer.firstPc_)
 {
-    reset();
+    // A fresh predictor and zeroed registers are reset()'s state.
 }
 
 bool
@@ -221,13 +361,14 @@ TraceBuffer::Cursor::next(DynOp &out)
         return false;
     const TraceBuffer &b = *buffer_;
     u64 index = pos_++;
-    const Decode d = b.decode_[index];
-    const OpTraits &t = kTraits[d.op];
+    const unsigned control = b.control_[index];
+    PredictorEntry &e = predictor_.lookup(pc_);
+    if (control & kDecodeMissFlag) [[unlikely]]
+        Predictor::redecode(e, b.decode_[decodePos_++]);
+    const Decode d = e.decode;
+    const Slots slots = e.slots;
     auto &regs = regs_;
-    unsigned dst = t.dstBase + (d.rd & t.dstMask);
-    bool writes = dst != 0;
-    unsigned flags = flagsOf(b.flags_, index);
-    bool taken = flags & kTakenFlag;
+    bool taken = control & kTakenFlag;
 
     out.seq = b.baseSeq_ + index;
     out.pc = pc_;
@@ -237,35 +378,44 @@ TraceBuffer::Cursor::next(DynOp &out)
     out.rs2 = d.rs2;
     out.taken = taken;
     // Results go through locals: a store to regs might alias out.
-    u64 rd_value = 0;
-    u64 next_pc = 0;
-    if (!(flags & kIrregularFlag)) [[likely]] {
-        // Branch-free: thanks to the pads every read is in bounds,
-        // and a field the record lacks reads as 0 without advancing
-        // its array.
+    u64 rs1_value, rs2_value, rd_value, eff_addr, next_pc, target;
+    if (!(control & kIrregularFlag)) [[likely]] {
+        rs1_value = regs[slots.src1];
+        rs2_value = regs[slots.src2];
+        // Thanks to the pads every compact-array read is in bounds;
+        // a field the record does not store is read but not used,
+        // and its array does not advance.
+        unsigned code = control & kValueCodeMask;
+        bool rd_stored = code == kValueStored;
+        bool addr_stored = control & kAddrMissFlag;
+        bool target_stored = control & kTargetMissFlag;
         const u64 *words = b.values_.data() + valuePos_;
-        u64 first = words[0];
-        u64 second = words[writes];
-        u64 target = b.targets_[targetPos_];
-        out.rs1Value = regs[t.src1Base + (d.rs1 & t.src1Mask)];
-        out.rs2Value = regs[t.src2Base + (d.rs2 & t.src2Mask)];
-        rd_value = first & -u64{writes};
-        out.effAddr = second & -u64{t.mem};
+        u64 predicted =
+            e.value[code] + (rs1_value & -u64{code == kValueDelta});
+        rd_value = pick(rd_stored, words[0], predicted);
+        eff_addr = pick(addr_stored, words[rd_stored], rs1_value + e.disp) &
+                   -u64{slots.mem};
+        target = pick(target_stored, b.targets_[targetPos_], e.target);
         next_pc = taken ? target : pc_ + 1;
-        valuePos_ += writes + t.mem;
-        targetPos_ += taken;
+        valuePos_ += rd_stored + addr_stored;
+        targetPos_ += target_stored;
     } else {
         const Irregular &x = b.irregular_[irregularPos_++];
-        out.rs1Value = x.rs1Value;
-        out.rs2Value = x.rs2Value;
-        out.effAddr = x.effAddr;
+        rs1_value = x.rs1Value;
+        rs2_value = x.rs2Value;
         rd_value = x.rdValue;
+        eff_addr = x.effAddr;
         next_pc = x.nextPc;
+        target = taken ? next_pc : e.target;
     }
+    out.rs1Value = rs1_value;
+    out.rs2Value = rs2_value;
     out.rdValue = rd_value;
+    out.effAddr = eff_addr;
     out.nextPc = next_pc;
+    Predictor::update(e, rs1_value, rd_value, eff_addr, target);
     pc_ = next_pc;
-    regs[writes ? dst : kDiscardSlot] = rd_value;
+    regs[slots.dst] = rd_value;
     return true;
 }
 
@@ -275,14 +425,15 @@ TraceBuffer::Cursor::reset()
     pos_ = 0;
     regs_.fill(0);
     pc_ = buffer_->firstPc_;
-    valuePos_ = targetPos_ = irregularPos_ = 0;
+    predictor_.clear();
+    decodePos_ = valuePos_ = targetPos_ = irregularPos_ = 0;
 }
 
 void
 TraceBuffer::Cursor::skip(u64 n)
 {
-    // Registers and compact-array positions depend on every record
-    // before the new position, so skipping decodes.
+    // Registers, the predictor and compact-array positions depend on
+    // every record before the new position, so skipping decodes.
     DynOp op;
     for (; n > 0 && next(op); --n) {
     }

@@ -1,15 +1,14 @@
 /**
  * @file
  * In-memory dynamic trace storage that keeps only what the static
- * program and program order do not already determine, plus a replay
- * cursor that derives the rest.
+ * program, program order and each static instruction's recent past do
+ * not already determine, plus a replay cursor that derives the rest.
  *
  * A TraceBuffer captures a workload's dynamic instruction stream once
  * and replays it any number of times; replay never touches the
- * functional emulator. Each record keeps its opcode and register
- * indices (4 B), its taken bit and an "irregular" bit. Everything else
- * is derived during replay by a Cursor that carries the architectural
- * registers, using the emulator's own rules:
+ * functional emulator. Each record keeps one control byte. Everything
+ * else is derived during replay by a Cursor that carries the
+ * architectural registers, using the emulator's own rules:
  *
  *  - seq is the record's position plus the stream's base sequence
  *    number (the emulator numbers ops densely from 0);
@@ -19,15 +18,27 @@
  *  - pc is the previous record's nextPc, and nextPc is pc+1 unless
  *    the record is taken.
  *
- * What remains is stored compactly, in record order: rdValue only for
- * register-writing ops, effAddr only for loads and stores, and a u32
- * target only for taken records. A record that breaks any derivation
- * (a source value that is not the register's content, an effAddr on
- * a non-memory op, a non-taken nextPc other than pc+1, ...) is marked
- * irregular and keeps its value fields verbatim in a side array, so
- * every TraceSource round-trips exactly; it still retires its rdValue.
- * Emulator streams have no irregular records and encode in ~13 B per
- * record against the 72-byte DynOp.
+ * The rest is predicted per static instruction. The encoder and every
+ * cursor run the same Predictor, a fixed-size table direct-mapped on
+ * pc with a pc tag, and update it identically after each record:
+ *
+ *  - op/rd/rs1/rs2 are the pc's last decode;
+ *  - effAddr is rs1Value plus the pc's last displacement;
+ *  - a taken record's nextPc is the pc's last taken target;
+ *  - rdValue is the pc's last value, last value plus stride, or
+ *    rs1Value plus the last rdValue - rs1Value delta, as a 2-bit code
+ *    in the control byte says.
+ *
+ * Only mispredicted fields are stored, in record order, in compact
+ * arrays: decodes, one u64 array for rdValues and effAddrs, and u32
+ * taken targets. Aliasing in the table costs bytes, never exactness.
+ * A record that breaks a derivation (a source value that is not the
+ * register's content, an effAddr on a non-memory op, a non-taken
+ * nextPc other than pc+1, ...) is marked irregular and keeps its value
+ * fields verbatim in a side array, so every TraceSource round-trips
+ * exactly; it still retires its rdValue and updates the predictor.
+ * Emulator streams have no irregular records and encode in 1-7 B per
+ * record (more where the table aliases) against the 72-byte DynOp.
  */
 
 #ifndef CARF_EMU_TRACE_BUFFER_HH
@@ -46,28 +57,16 @@ namespace carf::emu
 class TraceBuffer
 {
   public:
-    /** Opcode and register indices: the 4 bytes kept per record. */
+    /** Opcode and register indices of a record. */
     struct Decode
     {
         u8 op;
         u8 rd;
         u8 rs1;
         u8 rs2;
+
+        bool operator==(const Decode &) const = default;
     };
-
-    /**
-     * Upper bound on the encoded bytes of one record of an emulator
-     * stream: its Decode, an 8-byte rdValue and an 8-byte effAddr (a
-     * load; a taken jump's link and 4-byte target are less, and no
-     * memory op is a control transfer), and two flag bits, rounded up
-     * to a byte. Emulator streams have no irregular records.
-     */
-    static constexpr u64 kMaxEmulatedRecordBytes =
-        sizeof(Decode) + 2 * sizeof(u64) + 1;
-
-    /** An empty buffer to fill via append() (see build()). */
-    explicit TraceBuffer(std::string name,
-                         u64 requested_budget = ~u64{0});
 
     /**
      * Drain @p source (up to @p max_insts records) into a new buffer.
@@ -78,17 +77,20 @@ class TraceBuffer
      * @param max_insts the instruction budget the buffer was built
      *        for; recorded so callers can tell a budget-capped buffer
      *        from one that ran to program halt
+     * @param byte_budget most resident bytes the buffer may take. The
+     *        build checks its size every MeteredSource::blockRecords
+     *        records and once at the end.
+     * @retval nullptr when the encoding passes @p byte_budget; the
+     *         build then stops within one block of the budget.
      */
     static std::unique_ptr<TraceBuffer> build(TraceSource &source,
                                               std::string name,
-                                              u64 max_insts);
-
-    /** Append one record; ops must arrive in program order. */
-    void append(const DynOp &op);
+                                              u64 max_insts,
+                                              u64 byte_budget = ~u64{0});
 
     const std::string &name() const { return name_; }
-    u64 size() const { return decode_.size(); }
-    bool empty() const { return decode_.empty(); }
+    u64 size() const { return control_.size(); }
+    bool empty() const { return control_.empty(); }
 
     /** Budget the buffer was built with (see build()). */
     u64 requestedBudget() const { return requestedBudget_; }
@@ -101,6 +103,12 @@ class TraceBuffer
     /** Sequence number of the first record. */
     u64 baseSeq() const { return baseSeq_; }
 
+    /**
+     * Entries of the per-pc predictor: a program with more static
+     * instructions than this (fetch_wall) aliases.
+     */
+    static constexpr u64 kPredictorEntries = 4096;
+
     /** Records whose value fields are stored verbatim. */
     u64 irregularRecords() const { return irregular_.size(); }
 
@@ -110,25 +118,43 @@ class TraceBuffer
     /** Per-field byte breakdown, for the trace-dump tool. */
     struct FieldSizes
     {
-        u64 decode;    //!< opcode + rd/rs1/rs2 indices, 4 B/record
-        u64 flags;     //!< bit-packed taken and irregular bits
-        u64 values;    //!< rdValue of register writers, effAddr of
-                       //!< loads and stores, one array in order
-        u64 targets;   //!< u32 nextPc of taken records
+        u64 control;   //!< one control byte per record
+        u64 decode;    //!< opcode + rd/rs1/rs2 of decode misses
+        u64 values;    //!< mispredicted rdValues and effAddrs, one
+                       //!< array in record order
+        u64 targets;   //!< u32 nextPc of mispredicted taken records
         u64 irregular; //!< verbatim value fields of irregular records
         u64
         total() const
         {
-            return decode + flags + values + targets + irregular;
+            return control + decode + values + targets + irregular;
         }
     };
     FieldSizes fieldSizes() const;
 
-    /** Pre-size the per-record arrays for @p records appends. */
-    void reserve(u64 records);
+    /** How often one predicted field was right, over the records that
+     *  have the field. */
+    struct FieldHits
+    {
+        u64 records = 0;
+        u64 hits = 0;
+    };
 
-    /** Drop excess vector capacity after a build completes. */
-    void shrinkToFit();
+    /**
+     * Predictor hit counts of the encoding, per field. decode counts
+     * every record; of the regular records, rdValue counts register
+     * writers, effAddr loads and stores, and target taken records.
+     */
+    struct PredictionStats
+    {
+        FieldHits decode;
+        FieldHits effAddr;
+        FieldHits target;
+        FieldHits rdValue;
+        /** rdValue hits by code: last value, stride, rs1Value+delta. */
+        std::array<u64, 3> rdValueByCode{};
+    };
+    const PredictionStats &predictionStats() const { return stats_; }
 
     /**
      * Architectural registers as the derivation sees them: int 0-31,
@@ -138,6 +164,71 @@ class TraceBuffer
      */
     using Registers = std::array<u64, 2 * isa::numArchRegs + 2>;
 
+  private:
+    /**
+     * Register slots of a decode, from its opcode's register classes:
+     * the sources' slots (the zero slot when unused) and the
+     * destination's (the discard slot when the record writes no
+     * register), plus whether the op accesses memory.
+     */
+    struct Slots
+    {
+        u8 src1;
+        u8 src2;
+        u8 dst;
+        bool mem;
+    };
+
+    /**
+     * Per-static-instruction history both the encoder and the cursor
+     * keep: the pc's last decode and its slots, its last displacement
+     * and taken target, and its rdValue predictions. One cache line.
+     */
+    struct alignas(64) PredictorEntry
+    {
+        /**
+         * By rdValue code: unused ("stored"), the last value, the
+         * last value plus the last stride, and the last rdValue -
+         * rs1Value delta, to which replay adds rs1Value.
+         */
+        std::array<u64, 4> value;
+        u64 disp;
+        u32 tag;
+        u32 target;
+        Decode decode;
+        Slots slots;
+    };
+
+    /** Direct-mapped on pc; a tag miss restarts the entry cold. */
+    class Predictor
+    {
+      public:
+        Predictor();
+
+        /** The entry of @p pc, restarted cold on a tag miss. */
+        PredictorEntry &lookup(u64 pc);
+
+        /** Give @p e a new decode (a decode misprediction). */
+        static void redecode(PredictorEntry &e, Decode d);
+
+        /**
+         * Record one record's values in its entry; @p target is its
+         * taken nextPc, or the entry's target when it is not taken.
+         */
+        static void update(PredictorEntry &e, u64 rs1_value,
+                           u64 rd_value, u64 eff_addr, u64 target);
+
+        /** Restart every entry cold. */
+        void clear();
+
+      private:
+        /** An entry as lookup() restarts it, but for the tag. */
+        static const PredictorEntry kCold;
+
+        std::vector<PredictorEntry> table_;
+    };
+
+  public:
     /**
      * Replay: a TraceSource view over a buffer. Cheap to construct;
      * many cursors may read one buffer concurrently (the buffer is
@@ -170,16 +261,20 @@ class TraceBuffer
         const TraceBuffer *buffer_;
         u64 limit_;
         u64 pos_ = 0;
-        // Derivation state: the registers, the next record's pc and
-        // the read position in each compact array.
+        // Derivation state: the registers, the next record's pc, the
+        // predictor and the read position in each compact array.
         Registers regs_{};
         u64 pc_ = 0;
+        Predictor predictor_;
+        u64 decodePos_ = 0;
         u64 valuePos_ = 0;
         u64 targetPos_ = 0;
         u64 irregularPos_ = 0;
     };
 
   private:
+    class Encoder;
+
     /** Value fields of an irregular record, kept verbatim. */
     struct Irregular
     {
@@ -190,21 +285,22 @@ class TraceBuffer
         u64 nextPc;
     };
 
+    TraceBuffer(std::string name, u64 requested_budget);
+
+    /** Bytes the buffer takes once its arrays are shrunk to size. */
+    u64 encodedBytes() const;
+
     std::string name_;
     u64 requestedBudget_ = 0;
     u64 baseSeq_ = 0;
     u64 firstPc_ = 0;
-    /** Registers and next pc as replay sees them after the last
-     *  record; append() derives against them. */
-    Registers tailRegs_{};
-    u64 tailPc_ = 0;
+    PredictionStats stats_;
 
-    // Per-record fields.
-    std::vector<Decode> decode_;
-    /** Taken and irregular bits, two per record, 32 records a word. */
-    std::vector<u64> flags_;
+    /** One control byte per record (see trace_buffer.cc). */
+    std::vector<u8> control_;
 
     // Compact fields, one entry per record that needs one.
+    std::vector<Decode> decode_;
     std::vector<u64> values_;
     std::vector<u32> targets_;
     std::vector<Irregular> irregular_;

@@ -7,17 +7,6 @@
 namespace carf::emu
 {
 
-u64
-TraceCache::estimateBytes(u64 max_insts)
-{
-    // A conservative per-record bound refuses hopeless builds up
-    // front; the post-build check uses exact sizes.
-    constexpr u64 per_record = TraceBuffer::kMaxEmulatedRecordBytes;
-    if (max_insts > ~u64{0} / per_record)
-        return ~u64{0};
-    return max_insts * per_record;
-}
-
 TraceCache::TraceCache(u64 byte_budget) : byteBudget_(byte_budget)
 {
 }
@@ -58,20 +47,6 @@ TraceCache::acquire(const std::string &name, u64 max_insts,
                 // smaller build can still serve us if the program
                 // halted inside it).
                 wait_on = entry.future;
-            } else if (estimateBytes(max_insts) > byteBudget_) {
-                entry.tooBigBudget =
-                    std::min(entry.tooBigBudget, max_insts);
-                if (!entry.warned) {
-                    entry.warned = true;
-                    warn("TraceCache: trace '%s' (%llu insts) cannot "
-                         "fit the %llu MiB budget; falling back to "
-                         "streaming emulation",
-                         name.c_str(),
-                         (unsigned long long)max_insts,
-                         (unsigned long long)(byteBudget_ >> 20));
-                }
-                ++stats_.fallbacks;
-                return nullptr;
             } else {
                 // Become the builder. Any previous (too short) buffer
                 // is replaced wholesale.
@@ -82,9 +57,6 @@ TraceCache::acquire(const std::string &name, u64 max_insts,
                 }
                 entry.future = promise.get_future().share();
                 entry.building = true;
-                entry.buildBudget = max_insts;
-                ++stats_.builds;
-                ++buildCounts_[name];
                 build_here = true;
             }
         }
@@ -92,36 +64,35 @@ TraceCache::acquire(const std::string &name, u64 max_insts,
         if (build_here) {
             auto source = builder();
             std::shared_ptr<const TraceBuffer> buffer =
-                TraceBuffer::build(*source, name, max_insts);
-            u64 bytes = buffer->memoryBytes();
-            bool too_big = bytes > byteBudget_;
+                TraceBuffer::build(*source, name, max_insts, byteBudget_);
 
             {
                 std::lock_guard<std::mutex> lock(mutex_);
                 Entry &entry = entries_[name];
                 entry.building = false;
-                if (too_big) {
+                if (!buffer) {
                     entry.tooBigBudget =
                         std::min(entry.tooBigBudget, max_insts);
                     if (!entry.warned) {
                         entry.warned = true;
-                        warn("TraceCache: built trace '%s' is %llu "
-                             "MiB, over the %llu MiB budget; "
+                        warn("TraceCache: trace '%s' (%llu insts) "
+                             "passed the %llu B budget while building; "
                              "falling back to streaming emulation",
-                             name.c_str(),
-                             (unsigned long long)(bytes >> 20),
-                             (unsigned long long)(byteBudget_ >> 20));
+                             name.c_str(), (unsigned long long)max_insts,
+                             (unsigned long long)byteBudget_);
                     }
                     ++stats_.fallbacks;
                 } else {
                     entry.ready = buffer;
-                    entry.bytes = bytes;
-                    stats_.bytesCached += bytes;
+                    entry.bytes = buffer->memoryBytes();
+                    stats_.bytesCached += entry.bytes;
+                    ++stats_.builds;
+                    ++buildCounts_[name];
                     evictLocked(name);
                 }
             }
-            promise.set_value(too_big ? nullptr : buffer);
-            return too_big ? nullptr : buffer;
+            promise.set_value(buffer);
+            return buffer;
         }
 
         // Waiter path: block on the in-flight build, then loop to

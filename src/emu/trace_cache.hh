@@ -14,9 +14,10 @@
  *    budget at all once the program has halted; a larger request
  *    rebuilds and replaces the entry;
  *  - **bounded**: total resident bytes are capped by an LRU byte
- *    budget. A trace too large to ever fit is not built at all — the
- *    caller falls back to streaming emulation, and the fallback is
- *    logged (once per workload) so cache behavior is never silent.
+ *    budget. A build stops once its encoding passes the budget and
+ *    keeps nothing — the caller falls back to streaming emulation,
+ *    and the fallback is logged (once per workload) so cache
+ *    behavior is never silent.
  *
  * The cache lives in emu and is keyed by workload name, taking a
  * builder callback instead of a Workload so it does not depend on the
@@ -52,13 +53,6 @@ class TraceCache
     u64 byteBudget() const { return byteBudget_; }
 
     /**
-     * Encoded bytes a @p max_insts emulator trace can take at most;
-     * acquire() refuses to build a trace whose estimate exceeds the
-     * byte budget.
-     */
-    static u64 estimateBytes(u64 max_insts);
-
-    /**
      * Return a buffer covering the first @p max_insts instructions of
      * workload @p name, building it from @p builder at most once per
      * (workload, sufficient-budget) across all threads.
@@ -75,7 +69,8 @@ class TraceCache
     struct Stats
     {
         u64 hits = 0;        //!< served without building
-        u64 builds = 0;      //!< emulations performed
+        u64 builds = 0;      //!< traces built (a build stopped at
+                             //!< the byte budget is a fallback)
         u64 evictions = 0;   //!< entries dropped by the LRU budget
         u64 fallbacks = 0;   //!< requests answered "stream instead"
         u64 bytesCached = 0; //!< current resident bytes
@@ -84,8 +79,8 @@ class TraceCache
     Stats stats() const;
 
     /**
-     * Emulations performed for @p name (testing hook for the
-     * "one build per workload" contract).
+     * Traces built for @p name (testing hook for the "one build per
+     * workload" contract).
      */
     u64 buildCount(const std::string &name) const;
 
@@ -100,8 +95,6 @@ class TraceCache
         bool building = false;
         /** Fallback already logged for this workload. */
         bool warned = false;
-        /** Budget the in-flight build was started with. */
-        u64 buildBudget = 0;
         /** Smallest budget known not to fit the byte budget. */
         u64 tooBigBudget = ~u64{0};
         /** LRU clock of the most recent acquire. */
@@ -120,7 +113,7 @@ class TraceCache
     u64 byteBudget_;
     u64 clock_ = 0;
     std::map<std::string, Entry> entries_;
-    /** Per-workload emulation counts; survives LRU eviction. */
+    /** Per-workload build counts; survives LRU eviction. */
     std::map<std::string, u64> buildCounts_;
     Stats stats_;
 };

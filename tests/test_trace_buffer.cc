@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests for the in-memory trace subsystem: TraceBuffer's derived-field
- * encoding (emulator streams store no derivable field; irregular
- * records replay verbatim) and replay cursor, the cache's size
- * estimate, the trace-file round trip, TraceCache's
- * build-once/budget/LRU contracts, and — the load-bearing property —
+ * Tests for the in-memory trace subsystem: TraceBuffer's derived and
+ * predicted-field encoding (emulator streams store no derivable
+ * field; irregular records and predictor aliasing replay exactly) and
+ * replay cursor, the byte budget that stops a build, the trace-file
+ * round trip, TraceCache's build-once/budget/LRU contracts, and — the
+ * load-bearing property —
  * bit-identical simulation results between streaming emulation and
  * cached zero-copy replay, serially and under ExperimentRunner
  * contention (the concurrent tests are exercised by the TSan CI job),
@@ -14,9 +15,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/random.hh"
@@ -100,6 +105,48 @@ class VectorSource : public TraceSource
     size_t pos_ = 0;
 };
 
+/** Pass records through, counting how many were pulled. */
+class CountingSource : public TraceSource
+{
+  public:
+    CountingSource(std::unique_ptr<TraceSource> inner, u64 &pulled)
+        : inner_(std::move(inner)), pulled_(&pulled)
+    {
+    }
+
+    bool next(DynOp &out) override
+    {
+        bool more = inner_->next(out);
+        *pulled_ += more;
+        return more;
+    }
+
+    std::string name() const override { return inner_->name(); }
+
+  private:
+    std::unique_ptr<TraceSource> inner_;
+    u64 *pulled_;
+};
+
+/** Every record of @p source, in order. */
+std::vector<DynOp>
+drainAll(TraceSource &source)
+{
+    std::vector<DynOp> ops;
+    DynOp op;
+    while (source.next(op))
+        ops.push_back(op);
+    return ops;
+}
+
+/** The first @p insts records of workload @p name. */
+std::vector<DynOp>
+emulated(const std::string &name, u64 insts)
+{
+    auto trace = workloads::makeTrace(workloads::findWorkload(name), insts);
+    return drainAll(*trace);
+}
+
 /** Build every registered workload's trace at @p insts into @p fn. */
 template <typename Fn>
 void
@@ -127,6 +174,36 @@ expectSameOp(const DynOp &a, const DynOp &b, u64 index)
     EXPECT_EQ(a.effAddr, b.effAddr) << index;
     EXPECT_EQ(a.taken, b.taken) << index;
     EXPECT_EQ(a.nextPc, b.nextPc) << index;
+}
+
+/** All fields equal; for checks off the test thread. */
+bool
+sameOp(const DynOp &a, const DynOp &b)
+{
+    auto fields = [](const DynOp &o) {
+        return std::tie(o.seq, o.pc, o.op, o.rd, o.rs1, o.rs2, o.rs1Value,
+                        o.rs2Value, o.rdValue, o.effAddr, o.taken,
+                        o.nextPc);
+    };
+    return fields(a) == fields(b);
+}
+
+/**
+ * Expect @p cursor to yield @p ops[from..] (at most @p count records),
+ * stopping at the first mismatching record.
+ */
+void
+expectReplays(TraceSource &cursor, const std::vector<DynOp> &ops, u64 from,
+              u64 count = ~u64{0})
+{
+    DynOp op;
+    u64 end = count < ops.size() - from ? from + count : ops.size();
+    for (u64 i = from; i < end; ++i) {
+        ASSERT_TRUE(cursor.next(op)) << "ended early at " << i;
+        expectSameOp(op, ops[i], i);
+        if (::testing::Test::HasFailure())
+            return;
+    }
 }
 
 /** Drain both sources side by side, expecting identical streams. */
@@ -300,13 +377,28 @@ TEST(TraceBuffer, EncodingIsSmallerThanTheNaiveDynOpArray)
 
 TEST(TraceBuffer, EmulatedTracesStoreOnlyUnderivedFields)
 {
-    forEachEmulatedTrace(100000, [](const std::string &name,
-                                    const TraceBuffer &buffer) {
+    // At 100k records the programs whose static instructions fit the
+    // predictor take 1.0-7.0 B/record; fetch_wall, whose 12k static
+    // instructions alias in it, takes 12.8.
+    u64 bytes = 0;
+    u64 records = 0;
+    forEachEmulatedTrace(100000, [&](const std::string &name,
+                                     const TraceBuffer &buffer) {
         EXPECT_EQ(buffer.irregularRecords(), 0u) << name;
         EXPECT_EQ(buffer.fieldSizes().irregular, 0u) << name;
-        EXPECT_LE(buffer.fieldSizes().total(), 16 * buffer.size())
-            << name;
+        std::set<u64> pcs;
+        TraceBuffer::Cursor cursor(buffer);
+        DynOp op;
+        while (cursor.next(op))
+            pcs.insert(op.pc);
+        u64 bound = pcs.size() <= TraceBuffer::kPredictorEntries ? 8 : 14;
+        EXPECT_LE(buffer.fieldSizes().total(), bound * buffer.size())
+            << name << " (" << pcs.size() << " static pcs)";
+        bytes += buffer.fieldSizes().total();
+        records += buffer.size();
     });
+    // 5.0 B/record over the suite.
+    EXPECT_LE(bytes, 5.5 * records);
 }
 
 TEST(TraceBuffer, IrregularRecordsReplayExactly)
@@ -399,6 +491,157 @@ TEST(TraceBuffer, IrregularRecordsReplayExactly)
         VectorSource rest(tail);
         expectSameStream(rest, skipped);
     }
+}
+
+TEST(TraceBuffer, PredictorAliasingReplaysExactly)
+{
+    // fetch_wall runs more static instructions than the predictor has
+    // entries, so each entry is taken over before its pc comes back.
+    auto ops = emulated("fetch_wall", 30000);
+    std::set<u64> pcs;
+    for (const DynOp &op : ops)
+        pcs.insert(op.pc);
+    EXPECT_GT(pcs.size(), TraceBuffer::kPredictorEntries);
+    VectorSource source(ops);
+    auto buffer = TraceBuffer::build(source, "fetch_wall", ops.size());
+    EXPECT_EQ(buffer->irregularRecords(), 0u);
+    EXPECT_LT(buffer->predictionStats().decode.hits, ops.size() / 2);
+    TraceBuffer::Cursor cursor(*buffer);
+    expectReplays(cursor, ops, 0);
+    DynOp past_end;
+    EXPECT_FALSE(cursor.next(past_end));
+
+    // Two pcs alternate by taken jumps. One table size apart, every
+    // record finds the other's entry and restarts it cold.
+    auto alternating = [](u64 other_pc) {
+        std::vector<DynOp> ops;
+        u64 x = 0;
+        for (u64 i = 0; i < 2000; ++i) {
+            DynOp op;
+            op.seq = i;
+            op.pc = i % 2 ? other_pc : 100;
+            op.op = isa::Opcode::ADDI;
+            op.rd = 1;
+            op.rs1 = 1;
+            op.rs1Value = x;
+            op.rdValue = x += 3 + i % 5;
+            op.taken = true;
+            op.nextPc = i % 2 ? 100 : other_pc;
+            ops.push_back(op);
+        }
+        return ops;
+    };
+    for (u64 other : {u64{101}, 100 + TraceBuffer::kPredictorEntries}) {
+        SCOPED_TRACE(other);
+        auto ping = alternating(other);
+        VectorSource ping_source(ping);
+        auto pinged = TraceBuffer::build(ping_source, "ping", ping.size());
+        EXPECT_EQ(pinged->irregularRecords(), 0u);
+        const auto &stats = pinged->predictionStats();
+        if (other == 101) {
+            EXPECT_EQ(stats.decode.hits, ping.size() - 2);
+            EXPECT_EQ(stats.target.hits, ping.size() - 2);
+        } else {
+            EXPECT_EQ(stats.decode.hits, 0u);
+            EXPECT_EQ(stats.target.hits, 0u);
+        }
+        TraceBuffer::Cursor ping_cursor(*pinged);
+        expectReplays(ping_cursor, ping, 0);
+    }
+}
+
+TEST(TraceBuffer, DenseIrregularRecordsReplayExactly)
+{
+    // Every 7th record reads an rs2Value its register does not hold
+    // (irregular); every 13th writer's rdValue changes without its
+    // readers seeing it, so those readers turn irregular too, while
+    // the regular records between them go on being predicted.
+    auto ops = emulated("crc", 20000);
+    for (u64 i = 0; i < ops.size(); ++i) {
+        if (i % 7 == 3)
+            ops[i].rs2Value += 1;
+        if (i % 13 == 5 && ops[i].writesReg())
+            ops[i].rdValue ^= 0x5a;
+    }
+    VectorSource source(ops);
+    auto buffer = TraceBuffer::build(source, "crc", ops.size());
+    EXPECT_GT(buffer->irregularRecords(), ops.size() / 7);
+    EXPECT_LT(buffer->irregularRecords(), ops.size() / 2);
+    EXPECT_GT(buffer->predictionStats().rdValue.hits, 0u);
+
+    TraceBuffer::Cursor cursor(*buffer);
+    expectReplays(cursor, ops, 0);
+    cursor.reset();
+    expectReplays(cursor, ops, 0);
+    for (u64 at : {u64{1}, u64{3}, u64{4}, u64{5}, u64{6}, u64{4100},
+                   u64{ops.size() - 1}}) {
+        SCOPED_TRACE(at);
+        cursor.reset();
+        cursor.skip(at);
+        expectReplays(cursor, ops, at, 3000);
+    }
+}
+
+TEST(TraceBuffer, SkipAndResetMatchDrainingAtEveryPosition)
+{
+    // Positions in the first records, while the predictor is still
+    // cold, around block and table-size edges, and at the end; on a
+    // fresh cursor and on one reset after reading elsewhere.
+    for (const char *name : {"hash_table", "fetch_wall"}) {
+        auto ops = emulated(name, 14000);
+        VectorSource source(ops);
+        auto buffer = TraceBuffer::build(source, name, ops.size());
+        TraceBuffer::Cursor reused(*buffer);
+        for (u64 at : {u64{0}, u64{1}, u64{2}, u64{3}, u64{7}, u64{100},
+                       block - 1, block, TraceBuffer::kPredictorEntries,
+                       u64{12345}, u64{ops.size() - 1}, u64{ops.size()}}) {
+            SCOPED_TRACE(std::string(name) + " @ " + std::to_string(at));
+            TraceBuffer::Cursor fresh(*buffer);
+            fresh.skip(at);
+            EXPECT_EQ(fresh.position(), at);
+            expectReplays(fresh, ops, at, 2000);
+
+            reused.skip(777);
+            reused.reset();
+            EXPECT_EQ(reused.position(), 0u);
+            reused.skip(at);
+            expectReplays(reused, ops, at, 2000);
+        }
+    }
+}
+
+TEST(TraceBuffer, ConcurrentCursorsReplayExactly)
+{
+    // Cursors on four threads share one buffer, each resetting and
+    // skipping to its own positions; each carries its own predictor.
+    auto ops = emulated("fetch_wall", 20000);
+    VectorSource source(ops);
+    auto buffer = TraceBuffer::build(source, "fetch_wall", ops.size());
+    std::atomic<u64> mismatches{0};
+    std::atomic<u64> replayed{0};
+    std::vector<std::thread> threads;
+    for (u64 t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+            TraceBuffer::Cursor cursor(*buffer);
+            for (u64 round = 0; round < 3; ++round) {
+                u64 at = (t * 3 + round) * 1500;
+                cursor.reset();
+                cursor.skip(at);
+                DynOp op;
+                for (u64 i = at; cursor.next(op); ++i) {
+                    mismatches += i >= ops.size() || !sameOp(op, ops[i]);
+                    ++replayed;
+                }
+            }
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    EXPECT_EQ(mismatches.load(), 0u);
+    u64 expected = 0;
+    for (u64 at = 0; at < 12; ++at)
+        expected += ops.size() - at * 1500;
+    EXPECT_EQ(replayed.load(), expected);
 }
 
 TEST(MeteredSource, MatchesFreshEmulationAcrossBlockEdges)
@@ -498,8 +741,8 @@ TEST(TraceCache, HaltedTraceServesAnyBudget)
     EXPECT_EQ(buffer->size(), 500u);
     EXPECT_TRUE(buffer->sawHalt());
 
-    // Even a budget the estimator would refuse to build is a hit: the
-    // program halted, so the buffer is the whole trace.
+    // Even a budget no build could fit is a hit: the program halted,
+    // so the buffer is the whole trace.
     auto huge = cache.acquire("w", ~u64{0} >> 8, builder);
     EXPECT_EQ(huge.get(), buffer.get());
     EXPECT_EQ(cache.buildCount("w"), 1u);
@@ -507,46 +750,85 @@ TEST(TraceCache, HaltedTraceServesAnyBudget)
 
 TEST(TraceCache, OversizeRequestFallsBackWithoutBuilding)
 {
-    TraceCache cache(64 << 10); // 64 KiB: ~1.6k records at most
-    bool built = false;
-    auto builder = [&built] {
-        built = true;
+    TraceCache cache(64 << 10); // 64 KiB: ~1.4k records at most
+    int started = 0;
+    auto builder = [&started] {
+        ++started;
         return std::make_unique<SyntheticSource>(1000000, 27);
     };
+    // The first request starts a build that stops at the budget and
+    // keeps nothing; a repeat does not start another.
     EXPECT_FALSE(cache.acquire("w", 1000000, builder));
-    EXPECT_FALSE(built); // refused by the up-front estimate
+    EXPECT_EQ(started, 1);
     EXPECT_FALSE(cache.acquire("w", 1000000, builder));
+    EXPECT_EQ(started, 1);
     EXPECT_EQ(cache.buildCount("w"), 0u);
     EXPECT_EQ(cache.stats().fallbacks, 2u);
+    EXPECT_EQ(cache.stats().bytesCached, 0u);
 
     // A small request for the same workload still caches normally.
     auto small = cache.acquire("w", 1000, builder);
     ASSERT_TRUE(small);
-    EXPECT_TRUE(built);
+    EXPECT_EQ(started, 2);
     EXPECT_EQ(small->size(), 1000u);
 }
 
-TEST(TraceCache, EstimateBoundsEveryEmulatedTrace)
+TEST(TraceCache, TraceThatFitsTheBudgetIsBuilt)
 {
-    // The per-record bound assumes no memory op is also a control
-    // transfer (a load's rdValue + effAddr is the largest record).
-    for (size_t i = 0; i < size_t(isa::Opcode::NumOpcodes); ++i) {
-        auto op = static_cast<isa::Opcode>(i);
-        EXPECT_FALSE(isa::isMem(op) && isa::isBranch(op))
-            << isa::opcodeName(op);
-    }
+    auto ops = emulated("hash_table", 20000);
+    VectorSource unbounded(ops);
+    u64 bytes =
+        TraceBuffer::build(unbounded, "w", ops.size())->memoryBytes();
 
-    double largest = 0.0;
-    forEachEmulatedTrace(100000, [&largest](const std::string &name,
-                                            const TraceBuffer &buffer) {
-        EXPECT_LE(buffer.memoryBytes(),
-                  TraceCache::estimateBytes(buffer.size()))
-            << name;
-        largest = std::max(largest, double(buffer.fieldSizes().total()) /
-                                        buffer.size());
+    // A budget of exactly the trace's bytes fits; one byte less does
+    // not, even though the last check comes after the last full block.
+    VectorSource exact(ops);
+    auto fits = TraceBuffer::build(exact, "w", ops.size(), bytes);
+    ASSERT_TRUE(fits);
+    EXPECT_EQ(fits->memoryBytes(), bytes);
+    TraceBuffer::Cursor cursor(*fits);
+    expectReplays(cursor, ops, 0);
+    VectorSource short_of(ops);
+    EXPECT_FALSE(TraceBuffer::build(short_of, "w", ops.size(), bytes - 1));
+
+    TraceCache cache(bytes);
+    auto cached = cache.acquire("w", ops.size(), [&ops] {
+        return std::make_unique<VectorSource>(ops);
     });
-    // Tight as well as safe: a loose estimate refuses traces that fit.
-    EXPECT_LE(double(TraceCache::estimateBytes(1)), 2 * largest);
+    ASSERT_TRUE(cached);
+    EXPECT_EQ(cache.buildCount("w"), 1u);
+    EXPECT_EQ(cache.stats().bytesCached, bytes);
+    EXPECT_EQ(cache.stats().fallbacks, 0u);
+}
+
+TEST(TraceCache, OverBudgetBuildStopsWithinOneBlock)
+{
+    constexpr u64 insts = 200000;
+    constexpr u64 budget = 64 << 10;
+    const auto &w = workloads::findWorkload("hash_table");
+    u64 pulled = 0;
+    TraceCache cache(budget);
+    EXPECT_FALSE(cache.acquire(w.name, insts, [&] {
+        return std::make_unique<CountingSource>(
+            workloads::makeTrace(w, insts), pulled);
+    }));
+    auto stats = cache.stats();
+    EXPECT_EQ(stats.fallbacks, 1u);
+    EXPECT_EQ(stats.builds, 0u);
+    EXPECT_EQ(stats.entries, 0u);
+    EXPECT_EQ(stats.bytesCached, 0u);
+
+    // The build stopped at the first block edge past the budget: the
+    // trace one block earlier still fit, the one it stopped at did not.
+    auto bytes_of_prefix = [&w](u64 records) {
+        auto trace = workloads::makeTrace(w, records);
+        return TraceBuffer::build(*trace, w.name, records)->memoryBytes();
+    };
+    ASSERT_GE(pulled, block);
+    EXPECT_LT(pulled, insts);
+    EXPECT_EQ(pulled % block, 0u);
+    EXPECT_LE(bytes_of_prefix(pulled - block), budget);
+    EXPECT_GT(bytes_of_prefix(pulled), budget);
 }
 
 TEST(TraceCache, LruEvictionKeepsResidencyUnderTheByteBudget)
@@ -686,7 +968,15 @@ TEST(SimulateWithCache, FallbackToStreamingIsTransparent)
     auto streamed = sim::simulate(w, params, options);
     auto fallback_options = options;
     fallback_options.traceCache = &cache;
+    ::testing::internal::CaptureStderr();
     auto fallen_back = sim::simulate(w, params, fallback_options);
+    std::string log = ::testing::internal::GetCapturedStderr();
+    // The budget is printed in bytes, not rounded down to "0 MiB".
+    EXPECT_NE(log.find("trace 'counters' (8000 insts) passed the 1024 B "
+                       "budget while building; falling back to streaming "
+                       "emulation"),
+              std::string::npos)
+        << log;
 
     EXPECT_EQ(jsonSansTime(streamed), jsonSansTime(fallen_back));
     EXPECT_EQ(cache.buildCount(w.name), 0u);

@@ -9,11 +9,13 @@
  *   carf_trace_dump footprint <workload>|<path> [insts]
  *       Build the in-memory TraceBuffer for a workload (by name) or a
  *       recorded trace file and print its memory footprint: record
- *       count, irregular-record count, per-field byte breakdown of the
- *       encoding (decode bytes, flag bits, compact values, taken
- *       targets, verbatim irregular records), bytes per record, and
+ *       count, irregular-record count, per-array byte breakdown of the
+ *       encoding (control bytes, mispredicted decodes, compact values,
+ *       taken targets, verbatim irregular records), bytes per record,
  *       the ratio to the naive DynOp array a streaming replayer would
- *       hold.
+ *       hold, and for each predicted field (decode, effAddr, taken
+ *       target, rdValue by code) its hit rate and the bytes its
+ *       mispredictions store.
  *
  *   carf_trace_dump head <path> [count]
  *       Print the first [count] (default 10) records of a trace file.
@@ -63,6 +65,18 @@ printSize(const char *label, u64 bytes, u64 records)
                 bytes / 1024.0, records ? double(bytes) / records : 0.0);
 }
 
+/** One predicted field: hit rate and the bytes its misses store. */
+void
+printHits(const char *label, const emu::TraceBuffer::FieldHits &f,
+          u64 field_bytes, u64 records)
+{
+    u64 stored = (f.records - f.hits) * field_bytes;
+    std::printf("  %-10s %7.3f%% of %9llu  %10.2f KiB  (%5.2f B/record)\n",
+                label, f.records ? 100.0 * f.hits / f.records : 0.0,
+                (unsigned long long)f.records, stored / 1024.0,
+                records ? double(stored) / records : 0.0);
+}
+
 int
 cmdFootprint(const std::string &arg, u64 insts)
 {
@@ -75,14 +89,31 @@ cmdFootprint(const std::string &arg, u64 insts)
                 buffer->sawHalt() ? " (source ended before budget)" : "");
     std::printf("  %llu irregular records (value fields kept verbatim)\n",
                 (unsigned long long)buffer->irregularRecords());
+    printSize("control", sizes.control, records);
     printSize("decode", sizes.decode, records);
-    printSize("flags", sizes.flags, records);
     printSize("values", sizes.values, records);
     printSize("targets", sizes.targets, records);
     printSize("irregular", sizes.irregular, records);
     printSize("total", sizes.total(), records);
     std::printf("  resident   %10.2f KiB (incl. vector overhead)\n",
                 buffer->memoryBytes() / 1024.0);
+
+    const auto &stats = buffer->predictionStats();
+    std::printf("predicted   hit rate over records        stored by "
+                "misses\n");
+    printHits("decode", stats.decode, sizeof(emu::TraceBuffer::Decode),
+              records);
+    printHits("effAddr", stats.effAddr, sizeof(u64), records);
+    printHits("target", stats.target, sizeof(u32), records);
+    printHits("rdValue", stats.rdValue, sizeof(u64), records);
+    const char *codes[] = {"last", "stride", "rs1+delta"};
+    for (size_t i = 0; i < stats.rdValueByCode.size(); ++i) {
+        u64 hits = stats.rdValueByCode[i];
+        std::printf("    %-9s %6.3f%%\n", codes[i],
+                    stats.rdValue.records
+                        ? 100.0 * hits / stats.rdValue.records
+                        : 0.0);
+    }
 
     u64 naive = records * sizeof(emu::DynOp);
     std::printf("naive DynOp array: %.2f KiB (%zu B/record); "
