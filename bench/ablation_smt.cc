@@ -111,7 +111,7 @@ main(int argc, char **argv)
     args.readRegfileKey();
     args.rejectUnreadKeys();
 
-    // Thread 0 runs mix[0]; simulateSmt assigns thread t > 0 from
+    // Thread 0 runs mix[0]; simulate() assigns thread t > 0 from
     // smtMix[(t-1) % len], so rotating the mix by one gives thread t
     // exactly mix[t % len].
     args.options.smtMix.clear();

@@ -175,7 +175,7 @@ main(int argc, char **argv)
             [&](const sim::SimOptions &o) {
                 sim::SimOptions smt = o;
                 smt.smtMix = {partner};
-                return sim::simulateSmt(w, smt_params, smt);
+                return sim::simulate(w, smt_params, smt);
             },
             off, on, t_off, t_on);
         double skip_frac =
@@ -241,7 +241,7 @@ main(int argc, char **argv)
         double t_full =
             secondsOf([&] { f = sim::simulate(w, params, full); });
         double t_samp = secondsOf(
-            [&] { s = sim::simulateSampled(w, params, sampled); });
+            [&] { s = sim::simulate(w, params, sampled); });
         double err = f.ipc > 0.0 ? std::fabs(s.ipc - f.ipc) / f.ipc
                                  : 0.0;
         err_worst = std::max(err_worst, err);

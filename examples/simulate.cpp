@@ -37,10 +37,6 @@ printResult(const core::RunResult &result,
 {
     std::printf("%s\n", sim::summarizeRun(result).c_str());
     const auto &counts = result.intRfAccesses;
-    if (counts.totalWrites() == 0) {
-        // SMT threads share one file; the counts ride on thread 0.
-        return;
-    }
     std::printf("  int RF reads  %llu (simple %llu, short %llu, "
                 "long %llu)\n",
                 (unsigned long long)counts.totalReads(),
@@ -67,6 +63,11 @@ printResult(const core::RunResult &result,
         std::printf("  RF energy vs same-traffic baseline file: "
                     "%.1f%%\n", 100.0 * rf_energy / base_energy);
     }
+    for (unsigned t = 0; t < result.smtThreadIpc.size(); ++t) {
+        std::printf("  thread %u: %llu insts (IPC %.3f)\n", t,
+                    (unsigned long long)result.smtThreadInsts[t],
+                    result.smtThreadIpc[t]);
+    }
 }
 
 } // namespace
@@ -77,16 +78,29 @@ main(int argc, char **argv)
     Config config;
     config.parseArgs(argc, argv);
 
+    // Each mode reads only the keys it uses, so rejectUnreadKeys()
+    // makes the rest fatal: record mode only emulates, and a replayed
+    // trace names neither a workload nor an SMT partner.
+    const bool list = config.getBool("list", false);
+    const std::string replay = config.getString("replay");
+    const bool workload_mode = replay.empty();
+    const std::string workload_name =
+        workload_mode ? config.getString("workload", "counters") : "";
+    const std::string record =
+        workload_mode ? config.getString("record") : "";
     sim::SimOptions options;
     options.maxInsts = 1000000;
-    core::CoreParams params = sim::configureRun(config, options);
-    options.oracleSamplePeriod = config.getU32("oracle", 0);
-    const std::string workload_name =
-        config.getString("workload", "counters");
-    const std::string record = config.getString("record");
-    const std::string replay = config.getString("replay");
-    const std::string smt_with = config.getString("smt_with");
-    const bool list = config.getBool("list", false);
+    core::CoreParams params;
+    if (record.empty()) {
+        params = sim::configureRun(config, options);
+        options.oracleSamplePeriod = config.getU32("oracle", 0);
+        if (workload_mode && config.has("smt_with")) {
+            params.smtThreads = 2;
+            options.smtMix = {config.getString("smt_with")};
+        }
+    } else {
+        options.maxInsts = config.getU64("insts", options.maxInsts);
+    }
     config.rejectUnreadKeys("simulate");
 
     if (list) {
@@ -97,8 +111,6 @@ main(int argc, char **argv)
         }
         return 0;
     }
-
-    std::printf("config: %s\n", sim::describeConfig(params).c_str());
 
     // Record mode: emulate and write a trace file, no timing.
     if (!record.empty()) {
@@ -111,40 +123,30 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // Replay mode: time a previously recorded trace.
-    if (!replay.empty()) {
-        emu::TraceReader reader(replay, "", options.maxInsts);
-        core::Pipeline pipeline(params);
-        auto result = pipeline.run(reader);
-        printResult(result, params);
-        return 0;
-    }
+    std::printf("config: %s\n", sim::describeConfig(params).c_str());
 
-    const auto &workload = workloads::findWorkload(workload_name);
-
-    // SMT mode: co-run a second workload on a shared core.
-    if (!smt_with.empty()) {
-        const auto &other = workloads::findWorkload(smt_with);
-        auto ta = workloads::makeTrace(workload, options.maxInsts);
-        auto tb = workloads::makeTrace(other, options.maxInsts);
-        core::SmtPipeline smt(params, 2);
-        auto result = smt.run({ta.get(), tb.get()});
-        std::printf("SMT (%llu shared cycles, aggregate IPC %.3f):\n",
-                    (unsigned long long)result.cycles,
-                    result.totalIpc());
-        for (const auto &t : result.threads)
-            printResult(t, params);
-        return 0;
-    }
-
-    // Plain single-thread run, optionally with the value oracle.
+    // A timed run: a recorded trace replayed the way simulate() runs
+    // a workload (fast-forward, then the window), or a workload on
+    // the solo or SMT core.
     sim::LiveValueOracle oracle;
-    bool use_oracle = options.oracleSamplePeriod > 0;
-    auto result = sim::simulate(workload, params, options,
-                                use_oracle ? &oracle : nullptr);
+    sim::LiveValueOracle *observer =
+        options.oracleSamplePeriod > 0 ? &oracle : nullptr;
+    core::RunResult result;
+    if (!replay.empty()) {
+        emu::TraceReader reader(replay, "",
+                                options.fastForward + options.maxInsts);
+        params.oracleSamplePeriod = options.oracleSamplePeriod;
+        core::Pipeline pipeline(params);
+        if (options.fastForward > 0)
+            pipeline.warmUp(reader, options.fastForward);
+        result = pipeline.run(reader, observer);
+    } else {
+        result = sim::simulate(workloads::findWorkload(workload_name),
+                               params, options, observer);
+    }
     printResult(result, params);
 
-    if (use_oracle) {
+    if (observer) {
         std::printf("  live values: %.1f regs/cycle; exact group-1 "
                     "%.1f%%; d=16 group-1 %.1f%%\n",
                     oracle.avgLiveRegs(),

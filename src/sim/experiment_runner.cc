@@ -114,14 +114,8 @@ ExperimentRunner::run(const std::vector<ExperimentJob> &batch,
     runTasks(pending.size(), [&](size_t p) {
         size_t i = pending[p];
         const ExperimentJob &job = batch[i];
-        core::RunResult result;
-        if (job.options.samplingPeriod > 0)
-            result = simulateSampled(job.workload, job.params, job.options);
-        else if (job.params.smtThreads > 1)
-            result = simulateSmt(job.workload, job.params, job.options);
-        else
-            result = simulate(job.workload, job.params, job.options,
-                              job.oracle);
+        core::RunResult result =
+            simulate(job.workload, job.params, job.options, job.oracle);
         // Write-back before the result is even published: a kill
         // between here and the progress callback loses nothing.
         if (storeEligible(job))

@@ -89,8 +89,7 @@ class ExperimentRunner
 
     /**
      * Execute @p batch and return one RunResult per job, in
-     * submission order. Each job runs alone, through simulate(),
-     * simulateSmt() or simulateSampled() as its options select; the
+     * submission order. Each job runs alone, through simulate(); the
      * pool schedules one job per task. With jobs()==1 (or a
      * single-job batch) jobs run inline on the calling thread with no
      * pool at all.

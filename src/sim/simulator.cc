@@ -8,7 +8,6 @@
 
 #include "common/config.hh"
 #include "common/logging.hh"
-#include "core/pipeline.hh"
 
 namespace carf::sim
 {
@@ -69,7 +68,7 @@ acquireTrace(const workloads::Workload &workload, u64 budget,
 }
 
 /**
- * The timing tail every entry point shares: acquisition plus metered
+ * The timing tail of every run: acquisition plus metered
  * streaming is trace-build time, the rest of the run since
  * @p sim_start is simulation time.
  */
@@ -131,10 +130,21 @@ class WindowedStream final : public core::FetchStream
 } // namespace
 
 void
-SimOptions::validate() const
+SimOptions::validate(unsigned threads) const
 {
+    if (threads > 1 && fastForward > 0)
+        fatal("SimOptions: fastForward warms one thread (smtThreads=%u)",
+              threads);
+    if (threads > 1 && oracleSamplePeriod > 0) {
+        fatal("SimOptions: the live-value oracle observes one thread "
+              "(smtThreads=%u)", threads);
+    }
     if (samplingPeriod == 0)
         return;
+    if (threads > 1) {
+        fatal("SimOptions: statistical sampling runs one thread "
+              "(smtThreads=%u)", threads);
+    }
     if (oracleSamplePeriod > 0) {
         fatal("SimOptions: statistical sampling is incompatible with "
               "the live-value oracle (oracleSamplePeriod > 0) — the "
@@ -194,97 +204,22 @@ configureRun(const Config &config, SimOptions &options,
     return params;
 }
 
-core::RunResult
-simulate(const workloads::Workload &workload,
-         const core::CoreParams &params, const SimOptions &options,
-         LiveValueOracle *oracle)
+namespace
 {
-    options.validate();
-    if (options.samplingPeriod > 0)
-        fatal("simulate: sampled runs go through simulateSampled()");
 
-    core::CoreParams run_params = params;
-    run_params.oracleSamplePeriod = options.oracleSamplePeriod;
-
-    AcquiredTrace trace =
-        acquireTrace(workload, options.fastForward + options.maxInsts,
-                     options.traceCache);
-
-    auto sim_start = std::chrono::steady_clock::now();
-    core::Pipeline pipeline(run_params);
-    pipeline.setFastPath(options.fastPath);
-    if (options.fastForward > 0)
-        pipeline.warmUp(*trace.source, options.fastForward);
-    core::RunResult result = pipeline.run(*trace.source, oracle);
-    chargeHostTime(result, {&trace, 1}, sim_start);
-    return result;
-}
-
+/**
+ * The SMARTS loop over one trace: alternate functional gaps with
+ * detailed episodes on @p pipeline and report the measured windows
+ * (see SimOptions::samplingPeriod).
+ */
 core::RunResult
-simulateSmt(const workloads::Workload &workload,
-            const core::CoreParams &params, const SimOptions &options)
+runSampled(core::Pipeline &pipeline, emu::TraceSource &source,
+           const core::CoreParams &params, const SimOptions &options)
 {
-    unsigned num_threads = params.smtThreads > 0 ? params.smtThreads : 1;
-    if (num_threads == 1)
-        return simulate(workload, params, options);
-    if (options.fastForward > 0)
-        fatal("simulateSmt: fast-forward is a solo-pipeline feature");
-    if (options.oracleSamplePeriod > 0)
-        fatal("simulateSmt: the live-value oracle is a solo-pipeline "
-              "feature");
-    if (options.samplingPeriod > 0)
-        fatal("simulateSmt: statistical sampling is a solo-pipeline "
-              "feature");
-
-    // Resolve the per-thread workload list: thread 0 runs the job's
-    // workload, partners cycle through the mix.
-    std::vector<const workloads::Workload *> mix(num_threads, &workload);
-    if (!options.smtMix.empty()) {
-        for (unsigned t = 1; t < num_threads; ++t)
-            mix[t] = &workloads::findWorkload(
-                options.smtMix[(t - 1) % options.smtMix.size()]);
-    }
-
-    // One trace per thread, each over its own functional memory; with
-    // a cache, threads running the same workload share the underlying
-    // buffer through distinct cursors.
-    std::vector<AcquiredTrace> traces;
-    std::vector<emu::TraceSource *> sources;
-    for (const workloads::Workload *w : mix) {
-        traces.push_back(
-            acquireTrace(*w, options.maxInsts, options.traceCache));
-        sources.push_back(traces.back().source.get());
-    }
-
-    auto sim_start = std::chrono::steady_clock::now();
-    core::Pipeline pipeline(params, num_threads);
-    pipeline.setFastPath(options.fastPath);
-    core::RunResult result = pipeline.run(sources).aggregate();
-    chargeHostTime(result, traces, sim_start);
-    return result;
-}
-
-core::RunResult
-simulateSampled(const workloads::Workload &workload,
-                const core::CoreParams &params,
-                const SimOptions &options)
-{
-    options.validate();
-    if (options.samplingPeriod == 0)
-        fatal("simulateSampled: samplingPeriod must be > 0");
-    if (params.smtThreads > 1)
-        fatal("simulateSampled: sampling is a solo-pipeline feature");
-
-    AcquiredTrace trace =
-        acquireTrace(workload, options.maxInsts, options.traceCache);
-
-    auto sim_start = std::chrono::steady_clock::now();
-    core::Pipeline pipeline(params);
-    pipeline.setFastPath(options.fastPath);
-    core::PredictingFetchStream predicted(*trace.source, params);
+    core::PredictingFetchStream predicted(source, params);
     WindowedStream window(predicted);
 
-    pipeline.beginRun(workload.name);
+    pipeline.beginRun(window.name());
 
     u64 gap = options.samplingPeriod - options.samplingWarmup -
               options.samplingMeasure;
@@ -376,7 +311,55 @@ simulateSampled(const workloads::Workload &workload,
                              static_cast<double>(interval_ipc.size()));
     }
 
-    chargeHostTime(result, {&trace, 1}, sim_start);
+    return result;
+}
+
+} // namespace
+
+core::RunResult
+simulate(const workloads::Workload &workload,
+         const core::CoreParams &params, const SimOptions &options,
+         LiveValueOracle *oracle)
+{
+    unsigned threads = params.smtThreads > 0 ? params.smtThreads : 1;
+    options.validate(threads);
+
+    core::CoreParams run_params = params;
+    run_params.oracleSamplePeriod = options.oracleSamplePeriod;
+
+    // One trace per thread, each over its own functional memory:
+    // thread 0 runs the job's workload, partners cycle through the
+    // mix. With a cache, threads running the same workload share the
+    // underlying buffer through distinct cursors.
+    std::vector<AcquiredTrace> traces;
+    for (unsigned t = 0; t < threads; ++t) {
+        const workloads::Workload &w =
+            t == 0 || options.smtMix.empty()
+                ? workload
+                : workloads::findWorkload(
+                      options.smtMix[(t - 1) % options.smtMix.size()]);
+        traces.push_back(acquireTrace(
+            w, options.fastForward + options.maxInsts, options.traceCache));
+    }
+    emu::TraceSource &lead = *traces.front().source;
+
+    auto sim_start = std::chrono::steady_clock::now();
+    core::Pipeline pipeline(run_params, threads);
+    pipeline.setFastPath(options.fastPath);
+    core::RunResult result;
+    if (options.samplingPeriod > 0) {
+        result = runSampled(pipeline, lead, run_params, options);
+    } else if (threads > 1) {
+        std::vector<emu::TraceSource *> sources;
+        for (const AcquiredTrace &trace : traces)
+            sources.push_back(trace.source.get());
+        result = pipeline.run(sources).aggregate();
+    } else {
+        if (options.fastForward > 0)
+            pipeline.warmUp(lead, options.fastForward);
+        result = pipeline.run(lead, oracle);
+    }
+    chargeHostTime(result, traces, sim_start);
     return result;
 }
 

@@ -1,7 +1,8 @@
 /**
  * @file
- * Top-level simulation facade: one call simulates one workload on one
- * core configuration. This is the library's primary entry point.
+ * Top-level simulation facade: one call, simulate(), runs one workload
+ * on one core configuration, solo, SMT or sampled. This is the
+ * library's primary entry point.
  */
 
 #ifndef CARF_SIM_SIMULATOR_HH
@@ -84,10 +85,14 @@ struct SimOptions
      * predictor, and architectural state stay warm), then
      * samplingWarmup detailed instructions to refill the pipeline,
      * then samplingMeasure measured instructions. The reported
-     * cycles/IPC/cycle buckets cover the measured windows only;
-     * samplingIpcCi95 carries the 95% confidence half-width over
-     * per-interval IPCs. Solo-pipeline only; excludes the oracle and
-     * fastForward (validate()).
+     * cycles/IPC/cycle buckets cover the measured windows only (the
+     * buckets still sum to cycles); the sampling* result fields hold
+     * the interval shape and count, the skipped instructions and the
+     * 95% confidence half-width over per-interval IPCs. Other counters
+     * (bypass mix, register-file accesses, branch statistics) cover
+     * every detailed instruction, warm-up and measured: orientation,
+     * not calibrated estimates. One thread only; excludes the oracle
+     * and fastForward (validate()).
      */
     u64 samplingPeriod = 0;
     /** Detailed warm-up instructions at the head of each episode. */
@@ -96,11 +101,12 @@ struct SimOptions
     u64 samplingMeasure = 1000;
 
     /**
-     * Fatal on incompatible option combinations (sampling with the
-     * oracle, fast-forward, or a malformed interval shape).
-     * Every simulate entry point calls this first.
+     * Fatal on every combination simulate() cannot honour on a core of
+     * @p threads threads: sampling with the oracle, fast-forward or
+     * T > 1, a malformed sampling interval, and fast-forward or the
+     * oracle with T > 1. The one place these combinations are checked.
      */
-    void validate() const;
+    void validate(unsigned threads = 1) const;
 };
 
 /**
@@ -121,7 +127,15 @@ core::CoreParams configureRun(const Config &config, SimOptions &options,
                                   "baseline");
 
 /**
- * Simulate @p workload on a core configured by @p params.
+ * Simulate @p workload on a core configured by @p params; the one
+ * entry point for every kind of run:
+ *  - params.smtThreads = T > 1 runs the T-thread core
+ *    (core/pipeline.hh): thread 0 runs @p workload, partners run
+ *    options.smtMix, and the result is the aggregate RunResult
+ *    (summed per-thread counters plus the smt* fields);
+ *  - options.samplingPeriod > 0 runs the SMARTS sampler (see there);
+ *  - otherwise the solo pipeline, after options.fastForward.
+ * Fatal on the combinations SimOptions::validate() rejects.
  *
  * @param oracle optional live-value oracle (requires
  *        options.oracleSamplePeriod > 0 to receive samples)
@@ -131,39 +145,19 @@ core::RunResult simulate(const workloads::Workload &workload,
                          const SimOptions &options = {},
                          LiveValueOracle *oracle = nullptr);
 
-/**
- * Simulate @p workload on a core with params.smtThreads hardware
- * threads (core/pipeline.hh). Thread 0 runs @p workload; partner
- * threads run options.smtMix (see SimOptions::smtMix). Returns the
- * aggregate RunResult (summed per-thread counters plus the smt*
- * fields). options.fastPath applies as in simulate().
- *
- * With smtThreads == 1 this delegates to simulate() — a one-thread
- * SMT job is by definition the solo pipeline, and the delegation
- * makes the T=1 column of any sweep bit-identical to a solo sweep.
- * Incompatible with fastForward, the live-value oracle and sampling
- * (all three are one-thread features); fatal if requested.
- */
-core::RunResult simulateSmt(const workloads::Workload &workload,
-                            const core::CoreParams &params,
-                            const SimOptions &options = {});
-
-/**
- * Simulate @p workload with SMARTS-style statistical sampling
- * (options.samplingPeriod > 0 required; see SimOptions). Returns a
- * RunResult whose cycles, committedInsts, ipc, and cycleAccounting
- * describe the measured windows only (the buckets still sum exactly
- * to cycles); the sampling* fields record the interval shape, the
- * interval count, the functionally skipped instructions, and the 95%
- * confidence half-width on IPC. All other counters (bypass mix,
- * register file accesses, branch statistics) cover every *detailed*
- * instruction — warm-up and measured — plus the handful of
- * architectural-value installs between episodes; they are reported
- * for orientation, not as calibrated estimates.
- */
-core::RunResult simulateSampled(const workloads::Workload &workload,
-                                const core::CoreParams &params,
-                                const SimOptions &options);
+/** Former names of simulate(), kept for perfbench only. */
+inline core::RunResult
+simulateSmt(const workloads::Workload &workload,
+            const core::CoreParams &params, const SimOptions &options = {})
+{
+    return simulate(workload, params, options);
+}
+inline core::RunResult
+simulateSampled(const workloads::Workload &workload,
+                const core::CoreParams &params, const SimOptions &options)
+{
+    return simulate(workload, params, options);
+}
 
 } // namespace carf::sim
 

@@ -262,8 +262,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(FastPath, SkipsFireOnSmtStallMix)
 {
-    // mem_chase + counters through the public SMT entry point: the
-    // skip must fire (simulateSmt honours SimOptions::fastPath) and
+    // mem_chase + counters through simulate() on a T=2 core: the
+    // skip must fire (SimOptions::fastPath holds for SMT runs) and
     // the two settings must agree byte for byte.
     core::CoreParams params = smtParams("content-aware", 2);
     sim::SimOptions on;
@@ -272,8 +272,8 @@ TEST(FastPath, SkipsFireOnSmtStallMix)
     sim::SimOptions off = on;
     off.fastPath = false;
     const auto &lead = workloads::findWorkload("mem_chase");
-    core::RunResult fast = sim::simulateSmt(lead, params, on);
-    core::RunResult slow = sim::simulateSmt(lead, params, off);
+    core::RunResult fast = sim::simulate(lead, params, on);
+    core::RunResult slow = sim::simulate(lead, params, off);
     EXPECT_EQ(slow.fastPathSkips, 0u);
     EXPECT_GT(fast.fastPathSkips, 0u);
     EXPECT_GT(fast.fastPathSkippedCycles, fast.cycles / 10);
@@ -326,7 +326,7 @@ TEST(CycleAccounting, SumsToCyclesOnSmtRuns)
     sim::SimOptions options;
     options.maxInsts = insts;
     options.smtMix = {"counters"};
-    core::RunResult agg = sim::simulateSmt(
+    core::RunResult agg = sim::simulate(
         workloads::findWorkload("pointer_chase"), params, options);
     // The aggregate carries the machine-level accounting: one bucket
     // per machine cycle, so it sums to the (shared) cycle count, not
@@ -351,8 +351,8 @@ TEST(Sampling, DeterministicAndConserving)
     options.maxInsts = 200000;
     options.samplingPeriod = 10000;
 
-    core::RunResult a = sim::simulateSampled(workload, params, options);
-    core::RunResult b = sim::simulateSampled(workload, params, options);
+    core::RunResult a = sim::simulate(workload, params, options);
+    core::RunResult b = sim::simulate(workload, params, options);
     EXPECT_EQ(sim::runResultJsonFull(a, false),
               sim::runResultJsonFull(b, false));
 
@@ -382,8 +382,7 @@ TEST(Sampling, PinnedAccuracyOnIntKernels)
 
         sim::SimOptions sampled = full;
         sampled.samplingPeriod = 10000;
-        core::RunResult s =
-            sim::simulateSampled(workload, params, sampled);
+        core::RunResult s = sim::simulate(workload, params, sampled);
         ASSERT_GT(f.ipc, 0.0);
         EXPECT_NEAR(s.ipc, f.ipc, f.ipc * 0.05) << name;
     }
@@ -406,8 +405,8 @@ TEST(Sampling, StreamingMatchesCached)
     emu::TraceCache cache;
     sim::SimOptions cached = options;
     cached.traceCache = &cache;
-    core::RunResult s = sim::simulateSampled(workload, params, options);
-    core::RunResult c = sim::simulateSampled(workload, params, cached);
+    core::RunResult s = sim::simulate(workload, params, options);
+    core::RunResult c = sim::simulate(workload, params, cached);
     EXPECT_EQ(cache.buildCount(workload.name), 1u);
     EXPECT_EQ(sim::runResultJsonFull(s, false),
               sim::runResultJsonFull(c, false));
@@ -478,21 +477,14 @@ TEST(SamplingDeathTest, ValidateRejectsIncompatibleOptions)
     oversized.samplingMeasure = 200;
     EXPECT_DEATH(oversized.validate(), "exceeds samplingPeriod");
 
-    // The wrong entry point for a sampled run is rejected, as is
-    // sampling on a multi-threaded core.
+    // Sampling on a multi-threaded core is rejected too.
     sim::SimOptions sampled;
     sampled.maxInsts = 20000;
     sampled.samplingPeriod = 10000;
-    EXPECT_DEATH((void)sim::simulate(workload, params, sampled),
-                 "simulateSampled");
     core::CoreParams smt = params;
     smt.smtThreads = 2;
-    EXPECT_DEATH((void)sim::simulateSampled(workload, smt, sampled),
-                 "solo-pipeline");
-    sim::SimOptions unsampled;
-    EXPECT_DEATH((void)sim::simulateSampled(workload, params,
-                                            unsampled),
-                 "samplingPeriod");
+    EXPECT_DEATH((void)sim::simulate(workload, smt, sampled),
+                 "sampling runs one thread");
 }
 
 } // namespace carf

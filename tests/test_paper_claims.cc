@@ -177,7 +177,7 @@ TEST(PaperClaims, SmtSharingSustainsThroughput)
     ca.smtThreads = 2;
     ca.physIntRegs = 80 + 32 * 2;
     ca.physFpRegs = 96 + 32 * 2;
-    auto ca_smt = sim::simulateSmt(lead, ca, options);
+    auto ca_smt = sim::simulate(lead, ca, options);
     EXPECT_EQ(ca_smt.smtThreads, 2u);
 
     // Aggregate beats the faster solo thread: sharing one file
@@ -195,7 +195,7 @@ TEST(PaperClaims, SmtSharingSustainsThroughput)
     base.smtThreads = 2;
     base.physIntRegs = 80 + 32 * 2;
     base.physFpRegs = 96 + 32 * 2;
-    auto base_smt = sim::simulateSmt(lead, base, options);
+    auto base_smt = sim::simulate(lead, base, options);
     EXPECT_GT(ca_smt.ipc, 0.93 * base_smt.ipc);
 
     // And the shared Short file does observe cross-thread value

@@ -223,7 +223,7 @@ TEST(PortReduction, ConflictTotalsPinnedAtTheCore)
         params.smtThreads = pin.threads;
         sim::SimOptions options;
         options.maxInsts = 20000;
-        core::RunResult r = sim::simulateSmt(
+        core::RunResult r = sim::simulate(
             workloads::findWorkload(pin.workload), params, options);
         EXPECT_EQ(r.portConflictOps, pin.conflictOps)
             << pin.workload << " T=" << pin.threads;

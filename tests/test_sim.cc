@@ -71,6 +71,63 @@ TEST(Simulator, OracleHookReceivesSamplesThroughFacade)
     EXPECT_GT(oracle.samples(), 100u);
 }
 
+TEST(Simulator, SmtThreadsSelectTheSmtCore)
+{
+    // smtThreads = 2 through simulate() is the two-thread core over
+    // the lead workload and its partner, aggregated: the same stripped
+    // JSON as driving the core by hand.
+    core::CoreParams params = core::CoreParams::contentAware();
+    params.smtThreads = 2;
+    SimOptions options = quick(10000);
+    options.smtMix = {"crc"};
+    auto result =
+        simulate(workloads::findWorkload("counters"), params, options);
+    EXPECT_EQ(result.smtThreads, 2u);
+
+    auto lead = workloads::makeTrace(workloads::findWorkload("counters"),
+                                     options.maxInsts);
+    auto partner = workloads::makeTrace(workloads::findWorkload("crc"),
+                                        options.maxInsts);
+    core::Pipeline core(params, 2);
+    auto by_hand = core.run({lead.get(), partner.get()}).aggregate();
+    EXPECT_EQ(runResultJsonFull(result, false),
+              runResultJsonFull(by_hand, false));
+}
+
+TEST(SimulatorDeathTest, SmtRejectsFastForward)
+{
+    core::CoreParams params = core::CoreParams::contentAware();
+    params.smtThreads = 2;
+    SimOptions options = quick();
+    options.fastForward = 1000;
+    EXPECT_DEATH((void)simulate(workloads::findWorkload("counters"),
+                                params, options),
+                 "fastForward warms one thread");
+}
+
+TEST(SimulatorDeathTest, SmtRejectsTheOracle)
+{
+    core::CoreParams params = core::CoreParams::contentAware();
+    params.smtThreads = 2;
+    SimOptions options = quick();
+    options.oracleSamplePeriod = 8;
+    LiveValueOracle oracle;
+    EXPECT_DEATH((void)simulate(workloads::findWorkload("counters"),
+                                params, options, &oracle),
+                 "oracle observes one thread");
+}
+
+TEST(SimulatorDeathTest, SmtRejectsSampling)
+{
+    core::CoreParams params = core::CoreParams::contentAware();
+    params.smtThreads = 4;
+    SimOptions options = quick(30000);
+    options.samplingPeriod = 10000;
+    EXPECT_DEATH((void)simulate(workloads::findWorkload("counters"),
+                                params, options),
+                 "sampling runs one thread \\(smtThreads=4\\)");
+}
+
 TEST(ConfigureRun, BuildsThePaperConfigurations)
 {
     SimOptions options;

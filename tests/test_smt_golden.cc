@@ -77,9 +77,9 @@ goldenDigest(const std::string &mix, unsigned threads,
     options.maxInsts = 20000;
     options.smtMix = m.partners;
     options.fastPath = fast_path;
-    core::RunResult r =
-        sim::simulateSmt(workloads::findWorkload(m.lead),
-                         goldenParams(backend, threads), options);
+    core::RunResult r = sim::simulate(workloads::findWorkload(m.lead),
+                                      goldenParams(backend, threads),
+                                      options);
     return Sha256::hashHex(sim::runResultJsonFull(r, false));
 }
 
@@ -112,7 +112,7 @@ drainAllDigest(const std::string &mix, unsigned threads,
 }
 
 /**
- * Pinned digests, keyed "T<threads>_<mix>_<backend>" (simulateSmt)
+ * Pinned digests, keyed "T<threads>_<mix>_<backend>" (simulate())
  * and the same key + "_all" (drain-all run).
  */
 const std::map<std::string, std::string> &
@@ -314,7 +314,7 @@ TEST(SoloGolden, SampledContentAwareMatchesPinnedHash)
     sim::SimOptions options;
     options.maxInsts = 60000;
     options.samplingPeriod = 10000;
-    core::RunResult r = sim::simulateSampled(
+    core::RunResult r = sim::simulate(
         workloads::findWorkload("hash_table"),
         core::CoreParams::contentAware(), options);
     std::string digest = Sha256::hashHex(sim::runResultJsonFull(r, false));

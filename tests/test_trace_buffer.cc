@@ -935,19 +935,19 @@ TEST(SimulateWithCache, BitIdenticalToStreamingAcrossBlockEdges)
 
 TEST(SimulateWithCache, StreamingSplitsHostTimeOnEveryEntryPoint)
 {
-    // simulate() is covered above; the SMT (T=2) and sampled entry
-    // points share the same acquire helper and timing tail.
+    // The solo run is covered above; SMT (T=2) and sampled runs
+    // share the same acquire helper and timing tail.
     const auto &w = workloads::findWorkload("hash_table");
     auto smt_params = core::CoreParams::contentAware(20);
     smt_params.smtThreads = 2;
     auto smt_options = quick();
     smt_options.smtMix = {"crc"};
-    auto smt = sim::simulateSmt(w, smt_params, smt_options);
+    auto smt = sim::simulate(w, smt_params, smt_options);
 
     auto sampled_options = quick(30000);
     sampled_options.samplingPeriod = 10000;
-    auto sampled = sim::simulateSampled(
-        w, core::CoreParams::contentAware(20), sampled_options);
+    auto sampled =
+        sim::simulate(w, core::CoreParams::contentAware(20), sampled_options);
 
     for (const auto *r : {&smt, &sampled}) {
         EXPECT_GT(r->traceBuildSeconds, 0.0);
