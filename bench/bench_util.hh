@@ -205,15 +205,8 @@ struct BenchArgs
         args.jobs = args.config.getU32(
             "jobs", sim::ExperimentRunner::hardwareJobs());
         args.runner = sim::ExperimentRunner(args.jobs ? args.jobs : 1);
-        if (args.config.getBool("trace_cache", true)) {
-            u64 budget_mb =
-                args.config.getU64("trace_cache_mb",
-                                   emu::TraceCache::kDefaultByteBudget >>
-                                       20);
-            args.traceCache =
-                std::make_shared<emu::TraceCache>(budget_mb << 20);
-            args.options.traceCache = args.traceCache.get();
-        }
+        args.traceCache = sim::configureTraceCache(args.config);
+        args.options.traceCache = args.traceCache.get();
         args.options.fastPath = args.config.getBool("fast_path", true);
         args.options.samplingPeriod =
             args.config.getU64("sampling_period", 0);

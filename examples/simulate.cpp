@@ -11,8 +11,6 @@
  *   simulate workload=graph_walk config=content-aware d_plus_n=24 long=56
  *            stall=4 oracle=16
  *   simulate workload=crc config=port-reduction shared_read_ports=3
- *   simulate workload=daxpy record=/tmp/daxpy.carftrc insts=200000
- *   simulate replay=/tmp/daxpy.carftrc config=content-aware
  *   simulate workload=counters smt_with=crc config=content-aware
  *   simulate list=1                  # list available workloads
  */
@@ -20,8 +18,6 @@
 #include <cstdio>
 
 #include "common/config.hh"
-#include "core/pipeline.hh"
-#include "emu/trace_file.hh"
 #include "energy/report.hh"
 #include "sim/reporting.hh"
 #include "sim/simulator.hh"
@@ -78,28 +74,16 @@ main(int argc, char **argv)
     Config config;
     config.parseArgs(argc, argv);
 
-    // Each mode reads only the keys it uses, so rejectUnreadKeys()
-    // makes the rest fatal: record mode only emulates, and a replayed
-    // trace names neither a workload nor an SMT partner.
     const bool list = config.getBool("list", false);
-    const std::string replay = config.getString("replay");
-    const bool workload_mode = replay.empty();
     const std::string workload_name =
-        workload_mode ? config.getString("workload", "counters") : "";
-    const std::string record =
-        workload_mode ? config.getString("record") : "";
+        config.getString("workload", "counters");
     sim::SimOptions options;
     options.maxInsts = 1000000;
-    core::CoreParams params;
-    if (record.empty()) {
-        params = sim::configureRun(config, options);
-        options.oracleSamplePeriod = config.getU32("oracle", 0);
-        if (workload_mode && config.has("smt_with")) {
-            params.smtThreads = 2;
-            options.smtMix = {config.getString("smt_with")};
-        }
-    } else {
-        options.maxInsts = config.getU64("insts", options.maxInsts);
+    core::CoreParams params = sim::configureRun(config, options);
+    options.oracleSamplePeriod = config.getU32("oracle", 0);
+    if (config.has("smt_with")) {
+        params.smtThreads = 2;
+        options.smtMix = {config.getString("smt_with")};
     }
     config.rejectUnreadKeys("simulate");
 
@@ -112,38 +96,14 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // Record mode: emulate and write a trace file, no timing.
-    if (!record.empty()) {
-        const auto &workload = workloads::findWorkload(workload_name);
-        auto source = workloads::makeTrace(workload, options.maxInsts);
-        u64 written = emu::TraceWriter::record(*source, record);
-        std::printf("recorded %llu instructions of %s to %s\n",
-                    (unsigned long long)written,
-                    workload.name.c_str(), record.c_str());
-        return 0;
-    }
-
     std::printf("config: %s\n", sim::describeConfig(params).c_str());
 
-    // A timed run: a recorded trace replayed the way simulate() runs
-    // a workload (fast-forward, then the window), or a workload on
-    // the solo or SMT core.
     sim::LiveValueOracle oracle;
     sim::LiveValueOracle *observer =
         options.oracleSamplePeriod > 0 ? &oracle : nullptr;
-    core::RunResult result;
-    if (!replay.empty()) {
-        emu::TraceReader reader(replay, "",
-                                options.fastForward + options.maxInsts);
-        params.oracleSamplePeriod = options.oracleSamplePeriod;
-        core::Pipeline pipeline(params);
-        if (options.fastForward > 0)
-            pipeline.warmUp(reader, options.fastForward);
-        result = pipeline.run(reader, observer);
-    } else {
-        result = sim::simulate(workloads::findWorkload(workload_name),
-                               params, options, observer);
-    }
+    core::RunResult result =
+        sim::simulate(workloads::findWorkload(workload_name), params,
+                      options, observer);
     printResult(result, params);
 
     if (observer) {

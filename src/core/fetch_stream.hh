@@ -73,9 +73,8 @@ class BranchPredictors
 
 /**
  * The serial front end: pulls records from a TraceSource and predicts
- * them on the fly. Predictor state lives here and persists across
- * rebind(), so one stream spans a warm-up pass and the timed window
- * exactly as the in-pipeline predictors used to.
+ * them on the fly. Predictor state lives here, so one stream spans a
+ * warm-up pass and the timed window.
  */
 class PredictingFetchStream final : public FetchStream
 {
@@ -96,9 +95,6 @@ class PredictingFetchStream final : public FetchStream
     }
 
     std::string name() const override { return source_->name(); }
-
-    /** Swap the underlying source, keeping predictor state. */
-    void rebind(emu::TraceSource &source) { source_ = &source; }
 
   private:
     emu::TraceSource *source_;

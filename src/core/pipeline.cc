@@ -250,18 +250,6 @@ Pipeline::gatherSources(const InFlightInst &inst, SourceView &s1,
     }
 }
 
-FetchStream &
-Pipeline::serialStream(emu::TraceSource &source)
-{
-    if (!serialStream_) {
-        serialStream_ = std::make_unique<PredictingFetchStream>(
-            source, params_);
-    } else {
-        serialStream_->rebind(source);
-    }
-    return *serialStream_;
-}
-
 void
 Pipeline::sortIcount()
 {
@@ -985,12 +973,6 @@ Pipeline::doFetch(Cycle cur)
 }
 
 void
-Pipeline::warmUp(emu::TraceSource &source, u64 insts)
-{
-    warmUp(serialStream(source), insts);
-}
-
-void
 Pipeline::warmUp(FetchStream &stream, u64 insts)
 {
     WarmupScratch scratch;
@@ -1394,12 +1376,6 @@ Pipeline::finishRun()
     result.portConflictCycles = portConflictCycles_;
     observer_ = nullptr;
     return result;
-}
-
-RunResult
-Pipeline::run(emu::TraceSource &source, CycleObserver *observer)
-{
-    return run(serialStream(source), observer);
 }
 
 RunResult

@@ -90,14 +90,10 @@ class Pipeline
     ~Pipeline();
 
     /**
-     * Simulate @p source to exhaustion and return the run summary
+     * Simulate @p stream to exhaustion and return the run summary
      * (one-thread cores).
      * @param observer optional per-cycle register file sampler
      */
-    RunResult run(emu::TraceSource &source,
-                  CycleObserver *observer = nullptr);
-
-    /** As above over an externally predicted stream. */
     RunResult run(FetchStream &stream, CycleObserver *observer = nullptr);
 
     /**
@@ -114,14 +110,12 @@ class Pipeline
 
     /**
      * Fast-forward: functionally consume up to @p insts instructions
-     * from @p source before timed simulation, warming the branch
-     * predictor, caches, the Short file, and the architectural
-     * register values (the paper measures representative windows
-     * after a SimPoint-style skip). Call before run(), at most once.
+     * from @p stream before timed simulation, warming the caches, the
+     * Short file, and the architectural register values (the paper
+     * measures representative windows after a SimPoint-style skip).
+     * The branch predictors live in @p stream, so pass the same
+     * stream to run(). Call before run(), at most once.
      */
-    void warmUp(emu::TraceSource &source, u64 insts);
-
-    /** As above over an externally predicted stream. */
     void warmUp(FetchStream &stream, u64 insts);
 
     // --- resumable-lane interface (one-thread cores only) ---
@@ -473,13 +467,6 @@ class Pipeline
         return is_fp ? fpTags_[tag] : intTags_[tag];
     }
 
-    /**
-     * The owned serial front end backing the TraceSource entry
-     * points. Created on first use and kept for the Pipeline's
-     * lifetime so predictor state spans warmUp() and run().
-     */
-    FetchStream &serialStream(emu::TraceSource &source);
-
     /** Panic unless this is a one-thread core (@p what for the log). */
     void requireSolo(const char *what) const;
 
@@ -507,8 +494,6 @@ class Pipeline
     /** First thread of this cycle's commit/writeback/issue rotation. */
     unsigned rrCounter_ = 0;
     bool stopOnFirstDrain_ = true;
-
-    std::unique_ptr<PredictingFetchStream> serialStream_;
 
     mem::Hierarchy memory_;
 

@@ -204,6 +204,20 @@ configureRun(const Config &config, SimOptions &options,
     return params;
 }
 
+std::shared_ptr<emu::TraceCache>
+configureTraceCache(const Config &config)
+{
+    if (!config.getBool("trace_cache", true))
+        return nullptr;
+    u64 budget_mb = config.getU64("trace_cache_mb",
+                                  emu::TraceCache::kDefaultByteBudget >> 20);
+    if (budget_mb > ~u64{0} >> 20)
+        fatal("trace_cache_mb=%llu MiB overflows a 64-bit byte count "
+              "(max %llu)", (unsigned long long)budget_mb,
+              (unsigned long long)(~u64{0} >> 20));
+    return std::make_shared<emu::TraceCache>(budget_mb << 20);
+}
+
 namespace
 {
 
@@ -355,9 +369,12 @@ simulate(const workloads::Workload &workload,
             sources.push_back(trace.source.get());
         result = pipeline.run(sources).aggregate();
     } else {
+        // One front end spans the warm-up and the window, so the
+        // predictors stay warm across both.
+        core::PredictingFetchStream predicted(lead, run_params);
         if (options.fastForward > 0)
-            pipeline.warmUp(lead, options.fastForward);
-        result = pipeline.run(lead, oracle);
+            pipeline.warmUp(predicted, options.fastForward);
+        result = pipeline.run(predicted, oracle);
     }
     chargeHostTime(result, traces, sim_start);
     return result;

@@ -127,6 +127,14 @@ core::CoreParams configureRun(const Config &config, SimOptions &options,
                                   "baseline");
 
 /**
+ * The shared trace cache a key=value command line asks for:
+ * trace_cache=B (default on) and its byte budget trace_cache_mb=N
+ * (default 512). Null when trace_cache=0. Fatal when N MiB do not fit
+ * in 64 bits (N > 2^44-1).
+ */
+std::shared_ptr<emu::TraceCache> configureTraceCache(const Config &config);
+
+/**
  * Simulate @p workload on a core configured by @p params; the one
  * entry point for every kind of run:
  *  - params.smtThreads = T > 1 runs the T-thread core

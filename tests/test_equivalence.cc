@@ -43,8 +43,9 @@ TEST_P(ArchEquivalence, PipelineMatchesEmulator)
     // Timed execution over the same stream, on the named backend.
     core::CoreParams params = core::CoreParams::forBackend(backend);
     auto trace = workloads::makeTrace(workload, insts);
+    core::PredictingFetchStream stream(*trace, params);
     core::Pipeline pipeline(params);
-    auto result = pipeline.run(*trace);
+    auto result = pipeline.run(stream);
     ASSERT_EQ(result.committedInsts, insts);
 
     for (unsigned r = 0; r < isa::numArchRegs; ++r) {
@@ -95,9 +96,11 @@ TEST(WarmUpEquivalence, FastForwardPreservesArchState)
     }
 
     auto trace = workloads::makeTrace(workload, skip + window);
-    core::Pipeline pipeline(core::CoreParams::contentAware());
-    pipeline.warmUp(*trace, skip);
-    auto result = pipeline.run(*trace);
+    const auto params = core::CoreParams::contentAware();
+    core::PredictingFetchStream stream(*trace, params);
+    core::Pipeline pipeline(params);
+    pipeline.warmUp(stream, skip);
+    auto result = pipeline.run(stream);
     EXPECT_EQ(result.committedInsts, window);
 
     for (unsigned r = 0; r < isa::numArchRegs; ++r)
@@ -111,14 +114,17 @@ TEST(WarmUpEquivalence, WarmCachesRaiseWindowIpc)
     // cache-friendly kernel.
     const auto &workload = workloads::findWorkload("counters");
 
+    const auto params = core::CoreParams::baseline();
     auto cold_trace = workloads::makeTrace(workload, 20000);
-    core::Pipeline cold(core::CoreParams::baseline());
-    auto cold_result = cold.run(*cold_trace);
+    core::PredictingFetchStream cold_stream(*cold_trace, params);
+    core::Pipeline cold(params);
+    auto cold_result = cold.run(cold_stream);
 
     auto warm_trace = workloads::makeTrace(workload, 40000);
-    core::Pipeline warm(core::CoreParams::baseline());
-    warm.warmUp(*warm_trace, 20000);
-    auto warm_result = warm.run(*warm_trace);
+    core::PredictingFetchStream warm_stream(*warm_trace, params);
+    core::Pipeline warm(params);
+    warm.warmUp(warm_stream, 20000);
+    auto warm_result = warm.run(warm_stream);
 
     EXPECT_GE(warm_result.ipc, cold_result.ipc * 0.98);
 }

@@ -28,8 +28,8 @@ RunResult
 runOn(const CoreParams &params, isa::Program program, u64 max_insts)
 {
     emu::Emulator trace(std::move(program), "test", max_insts);
-    Pipeline pipeline(params);
-    return pipeline.run(trace);
+    PredictingFetchStream stream(trace, params);
+    return Pipeline(params).run(stream);
 }
 
 /** Eight-way independent add stream: no dependences at all. */
@@ -291,8 +291,9 @@ TEST(PipelineOracle, ObserverReceivesSamples)
     } observer;
 
     emu::Emulator trace(dependentAdds(), "test", 10000);
+    PredictingFetchStream stream(trace, params);
     Pipeline pipeline(params);
-    auto result = pipeline.run(trace, &observer);
+    auto result = pipeline.run(stream, &observer);
     EXPECT_GT(observer.samples, result.cycles / 5);
 }
 

@@ -37,6 +37,18 @@ configured(std::initializer_list<const char *> tokens, SimOptions &options)
     return params;
 }
 
+/** configureTraceCache() over "key=value" tokens. */
+std::shared_ptr<emu::TraceCache>
+traceCacheFor(std::initializer_list<const char *> tokens)
+{
+    Config config;
+    for (const char *token : tokens)
+        config.parseToken(token);
+    auto cache = configureTraceCache(config);
+    config.rejectUnreadKeys("test");
+    return cache;
+}
+
 } // namespace
 
 TEST(Simulator, FacadeRunsAndLabels)
@@ -178,6 +190,28 @@ TEST(ConfigureRunDeathTest, BadKnobsAreFatal)
                              "shared_read_ports=3"},
                             options),
                  "unknown key 'shared_read_ports'");
+}
+
+TEST(ConfigureTraceCache, ReadsSwitchAndBudget)
+{
+    EXPECT_EQ(traceCacheFor({})->byteBudget(),
+              emu::TraceCache::kDefaultByteBudget);
+    EXPECT_EQ(traceCacheFor({"trace_cache_mb=3"})->byteBudget(),
+              u64{3} << 20);
+    EXPECT_EQ(traceCacheFor({"trace_cache_mb=17592186044415"})
+                  ->byteBudget(),
+              ~u64{0} << 20);
+    EXPECT_EQ(traceCacheFor({"trace_cache=0"}), nullptr);
+}
+
+TEST(ConfigureTraceCacheDeathTest, BudgetThatWrapsIsFatal)
+{
+    // 2^44 MiB is 2^64 bytes: unchecked, it wraps to a 0-byte budget
+    // and every trace silently streams.
+    EXPECT_DEATH(traceCacheFor({"trace_cache_mb=17592186044416"}),
+                 "trace_cache_mb=17592186044416 MiB overflows");
+    EXPECT_DEATH(traceCacheFor({"trace_cache_mb=18446744073709551615"}),
+                 "overflows a 64-bit byte count");
 }
 
 TEST(Experiments, SuiteRunAggregates)

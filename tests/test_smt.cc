@@ -26,6 +26,15 @@ trace(const char *name, u64 insts)
     return workloads::makeTrace(workloads::findWorkload(name), insts);
 }
 
+/** The solo core over @p name's first @p insts records. */
+RunResult
+soloRun(const CoreParams &params, const char *name, u64 insts)
+{
+    auto source = trace(name, insts);
+    PredictingFetchStream stream(*source, params);
+    return Pipeline(params).run(stream);
+}
+
 } // namespace
 
 TEST(Smt, SingleThreadMatchesPipeline)
@@ -34,9 +43,7 @@ TEST(Smt, SingleThreadMatchesPipeline)
     // same structures, same policies, no sharing.
     for (auto params : {CoreParams::baseline(),
                         CoreParams::contentAware()}) {
-        auto t1 = trace("hash_table", 30000);
-        Pipeline pipeline(params);
-        auto single = pipeline.run(*t1);
+        auto single = soloRun(params, "hash_table", 30000);
 
         auto t2 = trace("hash_table", 30000);
         SmtPipeline smt(params, 1);
@@ -67,9 +74,7 @@ TEST(Smt, ThroughputExceedsSingleThread)
 {
     // Two independent high-ILP threads must beat one (the basic SMT
     // premise).
-    auto single = trace("counters", 40000);
-    Pipeline pipeline(CoreParams::baseline());
-    auto alone = pipeline.run(*single);
+    auto alone = soloRun(CoreParams::baseline(), "counters", 40000);
 
     auto ta = trace("counters", 40000);
     auto tb = trace("counters", 40000);
@@ -84,9 +89,7 @@ TEST(Smt, IqClogThreadDoesNotStarvePartner)
     // high-ILP partner (counters) to its own rate: the ICOUNT policy
     // and the per-thread IQ share cap keep the partner above 60% of
     // its solo throughput.
-    auto solo_trace = trace("counters", 60000);
-    Pipeline pipeline(CoreParams::baseline());
-    auto solo = pipeline.run(*solo_trace);
+    auto solo = soloRun(CoreParams::baseline(), "counters", 60000);
 
     auto ta = trace("counters", 60000);
     auto tb = trace("crc", 60000);
@@ -215,9 +218,7 @@ TEST(Smt, HomogeneousPairDoesNotShareCacheLines)
     // caches can only cost a thread throughput, never add to it.
     const u64 insts = 20000;
     auto params = CoreParams::contentAware();
-    auto solo_trace = trace("mem_chase", insts);
-    Pipeline pipeline(params);
-    auto solo = pipeline.run(*solo_trace);
+    auto solo = soloRun(params, "mem_chase", insts);
 
     auto ta = trace("mem_chase", insts);
     auto tb = trace("mem_chase", insts);

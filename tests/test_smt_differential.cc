@@ -1,11 +1,13 @@
 /**
  * @file
- * SMT differential anchor: a one-thread SmtPipeline must be
- * bit-identical to the solo Pipeline — not merely "same cycles", but
- * every counter in the full-fidelity RunResult serialization — for
- * every INT-suite workload on every registered backend. This is what
- * lets the rest of the SMT test wall trust that any T>1 effect it
- * observes is sharing, not a modeling drift between the two cores.
+ * SMT differential anchor: a one-thread run(sources) — thread 0's
+ * SaltedFetchStream over the shared BranchPredictors — must be
+ * bit-identical to the solo run(FetchStream&), not merely "same
+ * cycles" but every counter in the full-fidelity RunResult
+ * serialization, on every registered backend. This is what lets the
+ * rest of the SMT test wall trust that any T>1 effect it observes is
+ * sharing, not a drift between the two front ends. The workloads are
+ * the golden leads of test_smt_golden.cc: hash_table, mem_chase, crc.
  */
 
 #include <gtest/gtest.h>
@@ -22,74 +24,54 @@ namespace carf
 namespace
 {
 
-class SmtSoloDifferential
-    : public ::testing::TestWithParam<
-          std::tuple<std::string, std::string>>
+class SmtSoloDifferential : public ::testing::TestWithParam<std::string>
 {
 };
-
-std::vector<std::string>
-intSuiteNames()
-{
-    std::vector<std::string> names;
-    for (const auto &w : workloads::intSuite())
-        names.push_back(w.name);
-    return names;
-}
 
 } // namespace
 
 TEST_P(SmtSoloDifferential, OneThreadSmtMatchesSoloBitIdentical)
 {
-    auto [workload_name, backend] = GetParam();
     const u64 insts = 20000;
-    const auto &workload = workloads::findWorkload(workload_name);
-    core::CoreParams params = core::CoreParams::forBackend(backend);
+    core::CoreParams params = core::CoreParams::forBackend(GetParam());
+    for (const char *name : {"hash_table", "mem_chase", "crc"}) {
+        SCOPED_TRACE(name);
+        const auto &workload = workloads::findWorkload(name);
 
-    auto solo_trace = workloads::makeTrace(workload, insts);
-    core::Pipeline pipeline(params);
-    core::RunResult solo = pipeline.run(*solo_trace);
+        auto solo_trace = workloads::makeTrace(workload, insts);
+        core::PredictingFetchStream predicted(*solo_trace, params);
+        core::Pipeline pipeline(params);
+        core::RunResult solo = pipeline.run(predicted);
 
-    auto smt_trace = workloads::makeTrace(workload, insts);
-    core::SmtPipeline smt(params, 1);
-    core::SmtResult multi = smt.run({smt_trace.get()}, false);
-    ASSERT_EQ(multi.threads.size(), 1u);
+        auto smt_trace = workloads::makeTrace(workload, insts);
+        core::SmtPipeline smt(params, 1);
+        core::SmtResult multi = smt.run({smt_trace.get()}, false);
+        ASSERT_EQ(multi.threads.size(), 1u);
 
-    // Full-fidelity JSON comparison (host times excluded: both runs
-    // leave them 0 here, but the exclusion documents the contract).
-    EXPECT_EQ(sim::runResultJsonFull(multi.threads[0], false),
-              sim::runResultJsonFull(solo, false));
+        // Full-fidelity JSON comparison (host times excluded: both
+        // runs leave them 0 here, but the exclusion documents the
+        // contract).
+        EXPECT_EQ(sim::runResultJsonFull(multi.threads[0], false),
+                  sim::runResultJsonFull(solo, false));
 
-    // The aggregate of a one-thread run carries the same counters
-    // plus the trivial smt* fields.
-    core::RunResult agg = multi.aggregate();
-    EXPECT_EQ(agg.cycles, solo.cycles);
-    EXPECT_EQ(agg.committedInsts, solo.committedInsts);
-    EXPECT_EQ(agg.smtThreads, 1u);
+        // The aggregate of a one-thread run carries the same counters
+        // plus the trivial smt* fields.
+        core::RunResult agg = multi.aggregate();
+        EXPECT_EQ(agg.cycles, solo.cycles);
+        EXPECT_EQ(agg.committedInsts, solo.committedInsts);
+        EXPECT_EQ(agg.smtThreads, 1u);
+    }
 }
-
-namespace
-{
-
-std::string
-smtDifferentialName(
-    const ::testing::TestParamInfo<std::tuple<std::string, std::string>>
-        &info)
-{
-    std::string name =
-        std::get<0>(info.param) + "_" + std::get<1>(info.param);
-    for (char &c : name)
-        if (c == '-')
-            c = '_';
-    return name;
-}
-
-} // namespace
 
 INSTANTIATE_TEST_SUITE_P(
-    IntSuiteTimesBackends, SmtSoloDifferential,
-    ::testing::Combine(::testing::ValuesIn(intSuiteNames()),
-                       ::testing::ValuesIn(regfile::registry().names())),
-    smtDifferentialName);
+    Backends, SmtSoloDifferential,
+    ::testing::ValuesIn(regfile::registry().names()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        std::string name = info.param;
+        for (char &c : name)
+            if (c == '-')
+                c = '_';
+        return name;
+    });
 
 } // namespace carf

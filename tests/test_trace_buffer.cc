@@ -3,9 +3,8 @@
  * Tests for the in-memory trace subsystem: TraceBuffer's derived and
  * predicted-field encoding (emulator streams store no derivable
  * field; irregular records and predictor aliasing replay exactly) and
- * replay cursor, the byte budget that stops a build, the trace-file
- * round trip, TraceCache's build-once/budget/LRU contracts, and — the
- * load-bearing property —
+ * replay cursor, the byte budget that stops a build, TraceCache's
+ * build-once/budget/LRU contracts, and — the load-bearing property —
  * bit-identical simulation results between streaming emulation and
  * cached zero-copy replay, serially and under ExperimentRunner
  * contention (the concurrent tests are exercised by the TSan CI job),
@@ -16,7 +15,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <memory>
 #include <set>
 #include <string>
@@ -27,7 +25,6 @@
 #include "common/random.hh"
 #include "emu/trace_buffer.hh"
 #include "emu/trace_cache.hh"
-#include "emu/trace_file.hh"
 #include "isa/assembler.hh"
 #include "sim/experiment_runner.hh"
 #include "sim/reporting.hh"
@@ -664,22 +661,6 @@ TEST(MeteredSource, MatchesFreshEmulationAcrossBlockEdges)
             EXPECT_GT(metered.seconds(), 0.0);
         }
     }
-}
-
-TEST(TraceFile, BufferRoundTripsThroughATraceFile)
-{
-    SyntheticSource source(2500, 13);
-    auto buffer = TraceBuffer::build(source, "roundtrip", 2500);
-
-    std::string path = ::testing::TempDir() + "carf_roundtrip.trace";
-    EXPECT_EQ(TraceWriter::record(*buffer, path), 2500u);
-    auto loaded = readTraceBuffer(path, "roundtrip");
-    ASSERT_EQ(loaded->size(), buffer->size());
-    EXPECT_EQ(loaded->baseSeq(), buffer->baseSeq());
-
-    TraceBuffer::Cursor a(*buffer), b(*loaded);
-    expectSameStream(a, b);
-    std::remove(path.c_str());
 }
 
 TEST(TraceCache, BuildsOnceThenServesHits)

@@ -183,13 +183,9 @@ main(int argc, char **argv)
 
     sim::SimOptions defaults;
     defaults.maxInsts = config.getU64("insts", 500000);
-    std::shared_ptr<emu::TraceCache> trace_cache;
-    if (config.getBool("trace_cache", true)) {
-        u64 budget_mb = config.getU64(
-            "trace_cache_mb", emu::TraceCache::kDefaultByteBudget >> 20);
-        trace_cache = std::make_shared<emu::TraceCache>(budget_mb << 20);
-        defaults.traceCache = trace_cache.get();
-    }
+    std::shared_ptr<emu::TraceCache> trace_cache =
+        sim::configureTraceCache(config);
+    defaults.traceCache = trace_cache.get();
     config.rejectUnreadKeys("carf_sweep");
 
     if (fingerprint) {
