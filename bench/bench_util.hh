@@ -394,7 +394,6 @@ struct BenchArgs
         // Stderr, so table-equivalence diffs of captured stdout stay
         // clean across cold and warm runs.
         if (resultStore) {
-            resultStore->writeIndex();
             std::fprintf(stderr,
                          "result store: %llu hits, %llu misses (%s)\n",
                          (unsigned long long)resultStore->hits(),

@@ -49,7 +49,7 @@ runPass(const std::vector<sim::ExperimentJob> &batch,
         const std::string &store_dir, const bench::BenchArgs &args)
 {
     // A fresh store (reloaded from disk) and a fresh batch per pass:
-    // the warm pass must get everything from the shards, not from
+    // the warm pass must get everything from the file, not from
     // still-warm process state.
     sim::ResultStore store(store_dir, buildFingerprint());
     std::vector<sim::ExperimentJob> pass_batch = batch;
@@ -65,7 +65,6 @@ runPass(const std::vector<sim::ExperimentJob> &batch,
             .count();
     stats.hits = store.hits();
     stats.misses = store.misses();
-    store.writeIndex();
     return stats;
 }
 

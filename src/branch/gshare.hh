@@ -32,8 +32,6 @@ class Gshare
      */
     void update(u64 pc, bool taken);
 
-    unsigned historyBits() const { return historyBits_; }
-
   private:
     size_t index(u64 pc) const;
 

@@ -1,40 +1,16 @@
 /**
  * @file
- * Lightweight statistics package: named scalar counters, averages,
- * distributions, and a group container that can render itself.
- *
- * Modelled loosely after gem5's stats but kept minimal: every stat is
- * a named member of a StatGroup and is dumped in declaration order.
+ * Running mean of per-cycle samples. Event counts are plain u64
+ * members of the structure that counts them.
  */
 
 #ifndef CARF_COMMON_STATS_HH
 #define CARF_COMMON_STATS_HH
 
-#include <map>
-#include <memory>
-#include <string>
-#include <vector>
-
 #include "common/types.hh"
 
 namespace carf::stats
 {
-
-/** Monotonically increasing event counter. */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    Counter &operator++() { ++value_; return *this; }
-    Counter &operator+=(u64 n) { value_ += n; return *this; }
-    void reset() { value_ = 0; }
-
-    u64 value() const { return value_; }
-
-  private:
-    u64 value_ = 0;
-};
 
 /** Running mean of sampled values. */
 class Average
@@ -56,75 +32,6 @@ class Average
   private:
     double sum_ = 0.0;
     u64 count_ = 0;
-};
-
-/** Fixed-bucket histogram over [0, buckets). Out-of-range clamps. */
-class Distribution
-{
-  public:
-    explicit Distribution(size_t buckets = 0) : buckets_(buckets, 0) {}
-
-    void resize(size_t buckets) { buckets_.assign(buckets, 0); }
-    void sample(size_t bucket, u64 n = 1);
-    void reset();
-
-    u64 bucket(size_t i) const { return buckets_.at(i); }
-    size_t size() const { return buckets_.size(); }
-    u64 total() const;
-    /** Fraction of samples in bucket i (0 when empty). */
-    double fraction(size_t i) const;
-
-  private:
-    std::vector<u64> buckets_;
-};
-
-/**
- * Named collection of stats. Members register themselves with a name
- * and are rendered by dump(). Values are also queryable by name, which
- * the tests use to assert on simulator behaviour.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    Counter &addCounter(const std::string &name, const std::string &desc);
-    Average &addAverage(const std::string &name, const std::string &desc);
-
-    /** Value of a registered counter; fatal if unknown. */
-    u64 counterValue(const std::string &name) const;
-    /** Mean of a registered average; fatal if unknown. */
-    double averageValue(const std::string &name) const;
-    bool hasCounter(const std::string &name) const;
-
-    /** Render "name value # desc" lines. */
-    std::string dump() const;
-
-    const std::string &name() const { return name_; }
-
-    void resetAll();
-
-  private:
-    struct NamedCounter
-    {
-        std::string name;
-        std::string desc;
-        Counter counter;
-    };
-    struct NamedAverage
-    {
-        std::string name;
-        std::string desc;
-        Average average;
-    };
-
-    std::string name_;
-    // Deques-by-index via unique ptr stability: use std::map keyed by
-    // insertion order would lose order; store in vectors of pointers.
-    std::vector<std::unique_ptr<NamedCounter>> counters_;
-    std::vector<std::unique_ptr<NamedAverage>> averages_;
-    std::map<std::string, NamedCounter *> counterIndex_;
-    std::map<std::string, NamedAverage *> averageIndex_;
 };
 
 } // namespace carf::stats

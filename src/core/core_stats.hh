@@ -11,7 +11,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "common/stats.hh"
 #include "core/bypass.hh"
 #include "regfile/regfile.hh"
 

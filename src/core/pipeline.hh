@@ -198,9 +198,6 @@ class Pipeline
     /** Close the timed window and return the run summary. */
     RunResult finishRun();
 
-    regfile::RegisterFile &intRegFile() { return *intRf_; }
-    const regfile::RegisterFile &intRegFile() const { return *intRf_; }
-
     /**
      * Enable/disable the exact idle-cycle skip in stepCycle (default
      * on). Skipping is bit-identical to stepping — the flag exists so

@@ -19,8 +19,7 @@ constexpr u8 kRegMask = isa::numArchRegs - 1;
 /**
  * An operand's register slot as base + (index & mask), by opcode.
  * Indexed by the raw opcode byte. Bytes past NumOpcodes read nothing
- * and write nothing, so any source record encodes (as irregular when
- * its values say otherwise).
+ * and write nothing.
  */
 struct OpTraits
 {
@@ -65,8 +64,8 @@ const std::array<OpTraits, 256> kTraits = [] {
 
 /**
  * The control byte of a record: a 2-bit rdValue code (which
- * prediction holds, or "stored"), then one bit each for taken,
- * irregular and the mispredicted decode, effAddr and taken target.
+ * prediction holds, or "stored"), then one bit each for taken and the
+ * mispredicted decode, effAddr and taken target.
  */
 constexpr unsigned kValueCodeMask = 3;
 constexpr unsigned kValueStored = 0;
@@ -74,10 +73,9 @@ constexpr unsigned kValueLast = 1;
 constexpr unsigned kValueStride = 2;
 constexpr unsigned kValueDelta = 3;
 constexpr unsigned kTakenFlag = 1 << 2;
-constexpr unsigned kIrregularFlag = 1 << 3;
-constexpr unsigned kDecodeMissFlag = 1 << 4;
-constexpr unsigned kAddrMissFlag = 1 << 5;
-constexpr unsigned kTargetMissFlag = 1 << 6;
+constexpr unsigned kDecodeMissFlag = 1 << 3;
+constexpr unsigned kAddrMissFlag = 1 << 4;
+constexpr unsigned kTargetMissFlag = 1 << 5;
 
 /**
  * @p c ? @p a : @p b as a mask, which compilers keep branch-free:
@@ -152,12 +150,6 @@ TraceBuffer::Predictor::update(PredictorEntry &e, u64 rs1_value,
     e.target = static_cast<u32>(target);
 }
 
-void
-TraceBuffer::Predictor::clear()
-{
-    std::fill(table_.begin(), table_.end(), kCold);
-}
-
 /**
  * Encodes records in program order against the registers and the
  * predictor a Cursor will have when it reaches them. Lives only for
@@ -212,7 +204,6 @@ TraceBuffer::build(TraceSource &source, std::string name, u64 max_insts,
     buffer->decode_.shrink_to_fit();
     buffer->values_.shrink_to_fit();
     buffer->targets_.shrink_to_fit();
-    buffer->irregular_.shrink_to_fit();
     if (buffer->memoryBytes() > byte_budget)
         return nullptr;
     return buffer;
@@ -258,57 +249,57 @@ TraceBuffer::Encoder::append(const DynOp &op)
     const Slots slots = e.slots;
     bool writes = slots.dst != kDiscardSlot;
     auto &regs = regs_;
-    bool regular = op.rs1Value == regs[slots.src1] &&
-                   op.rs2Value == regs[slots.src2] &&
-                   (writes || op.rdValue == 0) &&
-                   (slots.mem || op.effAddr == 0) &&
-                   (op.taken ? op.nextPc <= ~u32{0}
-                             : op.nextPc == op.pc + 1);
+    bool derivable = op.rs1Value == regs[slots.src1] &&
+                     op.rs2Value == regs[slots.src2] &&
+                     (writes || op.rdValue == 0) &&
+                     (slots.mem || op.effAddr == 0) &&
+                     (op.taken ? op.nextPc <= ~u32{0}
+                               : op.nextPc == op.pc + 1);
+    if (!derivable)
+        panic("TraceBuffer '%s': record %llu (pc %llu) has a source "
+              "value, result, effAddr or nextPc that program order "
+              "does not give",
+              b.name_.c_str(), (unsigned long long)b.size(),
+              (unsigned long long)op.pc);
 
-    if (regular) {
-        // rdValue and effAddr share one array, rdValue first. A
-        // non-writer's rdValue (0) is predicted or stored like any
-        // other, so replay need not mask it; its pc's last value is 0.
-        unsigned code = kValueStored;
-        u64 value = op.rdValue;
-        if (value == e.value[kValueLast])
-            code = kValueLast;
-        else if (value == e.value[kValueStride])
-            code = kValueStride;
-        else if (value == op.rs1Value + e.value[kValueDelta])
-            code = kValueDelta;
-        else
-            store(b.values_, value);
-        control |= code;
-        if (writes) {
-            ++stats.rdValue.records;
-            if (code != kValueStored) {
-                ++stats.rdValue.hits;
-                ++stats.rdValueByCode[code - 1];
-            }
+    // rdValue and effAddr share one array, rdValue first. A
+    // non-writer's rdValue (0) is predicted or stored like any other,
+    // so replay need not mask it; its pc's last value is 0.
+    unsigned code = kValueStored;
+    u64 value = op.rdValue;
+    if (value == e.value[kValueLast])
+        code = kValueLast;
+    else if (value == e.value[kValueStride])
+        code = kValueStride;
+    else if (value == op.rs1Value + e.value[kValueDelta])
+        code = kValueDelta;
+    else
+        store(b.values_, value);
+    control |= code;
+    if (writes) {
+        ++stats.rdValue.records;
+        if (code != kValueStored) {
+            ++stats.rdValue.hits;
+            ++stats.rdValueByCode[code - 1];
         }
-        if (slots.mem) {
-            ++stats.effAddr.records;
-            if (op.effAddr == op.rs1Value + e.disp) {
-                ++stats.effAddr.hits;
-            } else {
-                control |= kAddrMissFlag;
-                store(b.values_, op.effAddr);
-            }
+    }
+    if (slots.mem) {
+        ++stats.effAddr.records;
+        if (op.effAddr == op.rs1Value + e.disp) {
+            ++stats.effAddr.hits;
+        } else {
+            control |= kAddrMissFlag;
+            store(b.values_, op.effAddr);
         }
-        if (op.taken) {
-            ++stats.target.records;
-            if (op.nextPc == e.target) {
-                ++stats.target.hits;
-            } else {
-                control |= kTargetMissFlag;
-                store(b.targets_, static_cast<u32>(op.nextPc));
-            }
+    }
+    if (op.taken) {
+        ++stats.target.records;
+        if (op.nextPc == e.target) {
+            ++stats.target.hits;
+        } else {
+            control |= kTargetMissFlag;
+            store(b.targets_, static_cast<u32>(op.nextPc));
         }
-    } else {
-        control |= kIrregularFlag;
-        b.irregular_.push_back({op.rs1Value, op.rs2Value, op.rdValue,
-                                op.effAddr, op.nextPc});
     }
     b.control_.push_back(static_cast<u8>(control));
     Predictor::update(e, op.rs1Value, op.rdValue, op.effAddr,
@@ -322,8 +313,7 @@ TraceBuffer::encodedBytes() const
 {
     auto bytes = [](const auto &v) { return v.size() * sizeof(v[0]); };
     return bytes(control_) + bytes(decode_) + bytes(values_) +
-           bytes(targets_) + bytes(irregular_) + sizeof(*this) +
-           name_.capacity();
+           bytes(targets_) + sizeof(*this) + name_.capacity();
 }
 
 u64
@@ -343,7 +333,6 @@ TraceBuffer::fieldSizes() const
     sizes.decode = bytes(decode_);
     sizes.values = bytes(values_);
     sizes.targets = bytes(targets_);
-    sizes.irregular = bytes(irregular_);
     return sizes;
 }
 
@@ -351,7 +340,6 @@ TraceBuffer::Cursor::Cursor(const TraceBuffer &buffer, u64 max_insts)
     : buffer_(&buffer), limit_(std::min(buffer.size(), max_insts)),
       pc_(buffer.firstPc_)
 {
-    // A fresh predictor and zeroed registers are reset()'s state.
 }
 
 bool
@@ -378,36 +366,26 @@ TraceBuffer::Cursor::next(DynOp &out)
     out.rs2 = d.rs2;
     out.taken = taken;
     // Results go through locals: a store to regs might alias out.
-    u64 rs1_value, rs2_value, rd_value, eff_addr, next_pc, target;
-    if (!(control & kIrregularFlag)) [[likely]] {
-        rs1_value = regs[slots.src1];
-        rs2_value = regs[slots.src2];
-        // Thanks to the pads every compact-array read is in bounds;
-        // a field the record does not store is read but not used,
-        // and its array does not advance.
-        unsigned code = control & kValueCodeMask;
-        bool rd_stored = code == kValueStored;
-        bool addr_stored = control & kAddrMissFlag;
-        bool target_stored = control & kTargetMissFlag;
-        const u64 *words = b.values_.data() + valuePos_;
-        u64 predicted =
-            e.value[code] + (rs1_value & -u64{code == kValueDelta});
-        rd_value = pick(rd_stored, words[0], predicted);
-        eff_addr = pick(addr_stored, words[rd_stored], rs1_value + e.disp) &
-                   -u64{slots.mem};
-        target = pick(target_stored, b.targets_[targetPos_], e.target);
-        next_pc = taken ? target : pc_ + 1;
-        valuePos_ += rd_stored + addr_stored;
-        targetPos_ += target_stored;
-    } else {
-        const Irregular &x = b.irregular_[irregularPos_++];
-        rs1_value = x.rs1Value;
-        rs2_value = x.rs2Value;
-        rd_value = x.rdValue;
-        eff_addr = x.effAddr;
-        next_pc = x.nextPc;
-        target = taken ? next_pc : e.target;
-    }
+    const u64 rs1_value = regs[slots.src1];
+    const u64 rs2_value = regs[slots.src2];
+    // Thanks to the pads every compact-array read is in bounds; a
+    // field the record does not store is read but not used, and its
+    // array does not advance.
+    unsigned code = control & kValueCodeMask;
+    bool rd_stored = code == kValueStored;
+    bool addr_stored = control & kAddrMissFlag;
+    bool target_stored = control & kTargetMissFlag;
+    const u64 *words = b.values_.data() + valuePos_;
+    u64 predicted = e.value[code] + (rs1_value & -u64{code == kValueDelta});
+    const u64 rd_value = pick(rd_stored, words[0], predicted);
+    const u64 eff_addr =
+        pick(addr_stored, words[rd_stored], rs1_value + e.disp) &
+        -u64{slots.mem};
+    const u64 target =
+        pick(target_stored, b.targets_[targetPos_], e.target);
+    const u64 next_pc = taken ? target : pc_ + 1;
+    valuePos_ += rd_stored + addr_stored;
+    targetPos_ += target_stored;
     out.rs1Value = rs1_value;
     out.rs2Value = rs2_value;
     out.rdValue = rd_value;
@@ -417,26 +395,6 @@ TraceBuffer::Cursor::next(DynOp &out)
     pc_ = next_pc;
     regs[slots.dst] = rd_value;
     return true;
-}
-
-void
-TraceBuffer::Cursor::reset()
-{
-    pos_ = 0;
-    regs_.fill(0);
-    pc_ = buffer_->firstPc_;
-    predictor_.clear();
-    decodePos_ = valuePos_ = targetPos_ = irregularPos_ = 0;
-}
-
-void
-TraceBuffer::Cursor::skip(u64 n)
-{
-    // Registers, the predictor and compact-array positions depend on
-    // every record before the new position, so skipping decodes.
-    DynOp op;
-    for (; n > 0 && next(op); --n) {
-    }
 }
 
 } // namespace carf::emu

@@ -34,11 +34,9 @@
  * taken targets. Aliasing in the table costs bytes, never exactness.
  * A record that breaks a derivation (a source value that is not the
  * register's content, an effAddr on a non-memory op, a non-taken
- * nextPc other than pc+1, ...) is marked irregular and keeps its value
- * fields verbatim in a side array, so every TraceSource round-trips
- * exactly; it still retires its rdValue and updates the predictor.
- * Emulator streams have no irregular records and encode in 1-7 B per
- * record (more where the table aliases) against the 72-byte DynOp.
+ * nextPc other than pc+1, ...) cannot come from the emulator, so
+ * build() panics on it. Emulator streams encode in 1-7 B per record
+ * (more where the table aliases) against the 72-byte DynOp.
  */
 
 #ifndef CARF_EMU_TRACE_BUFFER_HH
@@ -71,8 +69,8 @@ class TraceBuffer
     /**
      * Drain @p source (up to @p max_insts records) into a new buffer.
      *
-     * @param source any program-order DynOp stream (emulator, trace
-     *        file reader, another cursor)
+     * @param source a program-order DynOp stream the derivations hold
+     *        for: the emulator's, or another cursor's
      * @param name workload name reported by replay cursors
      * @param max_insts the instruction budget the buffer was built
      *        for; recorded so callers can tell a budget-capped buffer
@@ -109,26 +107,18 @@ class TraceBuffer
      */
     static constexpr u64 kPredictorEntries = 4096;
 
-    /** Records whose value fields are stored verbatim. */
-    u64 irregularRecords() const { return irregular_.size(); }
-
     /** Resident bytes of the encoded trace (capacity, not size). */
     u64 memoryBytes() const;
 
     /** Per-field byte breakdown, for the trace-dump tool. */
     struct FieldSizes
     {
-        u64 control;   //!< one control byte per record
-        u64 decode;    //!< opcode + rd/rs1/rs2 of decode misses
-        u64 values;    //!< mispredicted rdValues and effAddrs, one
-                       //!< array in record order
-        u64 targets;   //!< u32 nextPc of mispredicted taken records
-        u64 irregular; //!< verbatim value fields of irregular records
-        u64
-        total() const
-        {
-            return control + decode + values + targets + irregular;
-        }
+        u64 control; //!< one control byte per record
+        u64 decode;  //!< opcode + rd/rs1/rs2 of decode misses
+        u64 values;  //!< mispredicted rdValues and effAddrs, one
+                     //!< array in record order
+        u64 targets; //!< u32 nextPc of mispredicted taken records
+        u64 total() const { return control + decode + values + targets; }
     };
     FieldSizes fieldSizes() const;
 
@@ -142,8 +132,8 @@ class TraceBuffer
 
     /**
      * Predictor hit counts of the encoding, per field. decode counts
-     * every record; of the regular records, rdValue counts register
-     * writers, effAddr loads and stores, and target taken records.
+     * every record, rdValue register writers, effAddr loads and
+     * stores, and target taken records.
      */
     struct PredictionStats
     {
@@ -218,9 +208,6 @@ class TraceBuffer
         static void update(PredictorEntry &e, u64 rs1_value,
                            u64 rd_value, u64 eff_addr, u64 target);
 
-        /** Restart every entry cold. */
-        void clear();
-
       private:
         /** An entry as lookup() restarts it, but for the tag. */
         static const PredictorEntry kCold;
@@ -233,8 +220,6 @@ class TraceBuffer
      * Replay: a TraceSource view over a buffer. Cheap to construct;
      * many cursors may read one buffer concurrently (the buffer is
      * immutable after build, and each cursor carries its own state).
-     * reset()/skip() let one buffer back both the warm-up and the
-     * timed window of a run.
      */
     class Cursor : public TraceSource
     {
@@ -251,12 +236,6 @@ class TraceBuffer
         bool next(DynOp &out) override;
         std::string name() const override { return buffer_->name(); }
 
-        /** Rewind to the first record. */
-        void reset();
-        /** Advance past @p n records (clamped to the end) by decoding. */
-        void skip(u64 n);
-        u64 position() const { return pos_; }
-
       private:
         const TraceBuffer *buffer_;
         u64 limit_;
@@ -269,21 +248,10 @@ class TraceBuffer
         u64 decodePos_ = 0;
         u64 valuePos_ = 0;
         u64 targetPos_ = 0;
-        u64 irregularPos_ = 0;
     };
 
   private:
     class Encoder;
-
-    /** Value fields of an irregular record, kept verbatim. */
-    struct Irregular
-    {
-        u64 rs1Value;
-        u64 rs2Value;
-        u64 rdValue;
-        u64 effAddr;
-        u64 nextPc;
-    };
 
     TraceBuffer(std::string name, u64 requested_budget);
 
@@ -303,7 +271,6 @@ class TraceBuffer
     std::vector<Decode> decode_;
     std::vector<u64> values_;
     std::vector<u32> targets_;
-    std::vector<Irregular> irregular_;
 };
 
 } // namespace carf::emu

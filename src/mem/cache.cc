@@ -7,10 +7,7 @@ namespace carf::mem
 {
 
 Cache::Cache(const CacheParams &params)
-    : params_(params),
-      stats_(params.name),
-      hits_(stats_.addCounter("hits", "cache hits")),
-      misses_(stats_.addCounter("misses", "cache misses"))
+    : params_(params)
 {
     if (!isPowerOf2(params_.lineBytes))
         fatal("%s: line size must be a power of two", params_.name.c_str());

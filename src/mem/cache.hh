@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace carf::mem
@@ -46,11 +45,9 @@ class Cache
     bool probe(Addr addr) const;
 
     const CacheParams &params() const { return params_; }
-    u64 hits() const { return hits_.value(); }
-    u64 misses() const { return misses_.value(); }
+    u64 hits() const { return hits_; }
+    u64 misses() const { return misses_; }
     double missRate() const;
-
-    stats::StatGroup &statGroup() { return stats_; }
 
   private:
     struct Line
@@ -69,10 +66,8 @@ class Cache
     size_t numSets_;
     std::vector<Line> lines_; // numSets_ * assoc, set-major
     u64 stamp_ = 0;
-
-    stats::StatGroup stats_;
-    stats::Counter &hits_;
-    stats::Counter &misses_;
+    u64 hits_ = 0;
+    u64 misses_ = 0;
 };
 
 } // namespace carf::mem

@@ -118,14 +118,6 @@ ContentAwareRegFile::ContentAwareRegFile(std::string name, unsigned entries,
       shortFile_(params.sim, params.associativeShort),
       file_(entries),
       longFile_(params.longEntries, 0),
-      longAllocStalls_(stats_.addCounter("longAllocStalls",
-          "writebacks delayed by Long file exhaustion")),
-      recoveries_(stats_.addCounter("recoveries",
-          "pseudo-deadlock recoveries (forced Long allocations)")),
-      shortAllocAttempts_(stats_.addCounter("shortAllocAttempts",
-          "address-path Short allocation attempts")),
-      shortAllocHits_(stats_.addCounter("shortAllocHits",
-          "address-path Short allocations that found/placed a group")),
       threads_(threads > 0 ? threads : 1)
 {
     params_.validate();
@@ -151,6 +143,8 @@ ContentAwareRegFile::reset()
     shortFile_ = ShortFile(params_.sim, params_.associativeShort);
     file_.assign(entries_, Entry{});
     longFile_.assign(params_.longEntries, 0);
+    longAllocStalls_ = 0;
+    recoveries_ = 0;
     clearStructures();
 }
 
@@ -296,14 +290,10 @@ ContentAwareRegFile::release(u32 tag)
 void
 ContentAwareRegFile::doNoteAddress(u64 addr, unsigned tid)
 {
-    ++shortAllocAttempts_;
     unsigned alloc_idx = 0;
     bool fresh = false;
-    if (shortFile_.tryAllocate(addr, alloc_idx, fresh)) {
-        ++shortAllocHits_;
-        if (fresh)
-            shortOwner_[alloc_idx] = thread(tid);
-    }
+    if (shortFile_.tryAllocate(addr, alloc_idx, fresh) && fresh)
+        shortOwner_[alloc_idx] = thread(tid);
 }
 
 bool
@@ -441,8 +431,8 @@ ContentAwareRegFile::peek(u32 tag) const
 RegisterFile::Stats
 ContentAwareRegFile::stats() const
 {
-    return {shortFile_.allocations(), longAllocStalls_.value(),
-            recoveries_.value(), sharing_};
+    return {shortFile_.allocations(), longAllocStalls_, recoveries_,
+            sharing_};
 }
 
 } // namespace carf::regfile

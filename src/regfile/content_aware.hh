@@ -168,10 +168,10 @@ class ContentAwareRegFile : public RegisterFile
     std::vector<u64> longFile_;
     std::vector<u32> freeLong_;
 
-    stats::Counter &longAllocStalls_;
-    stats::Counter &recoveries_;
-    stats::Counter &shortAllocAttempts_;
-    stats::Counter &shortAllocHits_;
+    /** Writebacks delayed by Long file exhaustion. */
+    u64 longAllocStalls_ = 0;
+    /** Pseudo-deadlock recoveries (forced Long allocations). */
+    u64 recoveries_ = 0;
 
     /** SMT sharing accounting over the construction-time threads. */
     unsigned threads_;

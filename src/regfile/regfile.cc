@@ -6,7 +6,7 @@ namespace carf::regfile
 {
 
 RegisterFile::RegisterFile(std::string name, unsigned entries)
-    : name_(std::move(name)), entries_(entries), stats_(name_)
+    : name_(std::move(name)), entries_(entries)
 {
 }
 
@@ -14,7 +14,6 @@ void
 RegisterFile::reset()
 {
     counts_ = AccessCounts{};
-    stats_.resetAll();
 }
 
 ValueType

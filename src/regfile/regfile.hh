@@ -45,7 +45,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hh"
 #include "regfile/value_class.hh"
 
 namespace carf::regfile
@@ -274,7 +273,6 @@ class RegisterFile
     const AccessCounts &accessCounts() const { return counts_; }
     /** Zero the access counters (e.g.\ after warm-up writes). */
     void clearAccessCounts() { counts_ = AccessCounts{}; }
-    stats::StatGroup &statGroup() { return stats_; }
 
   protected:
     /** The write path behind write() and writeForced(). */
@@ -302,7 +300,6 @@ class RegisterFile
     unsigned readPortPool_ = 0;
     bool valueTaxonomy_ = false;
     AccessCounts counts_;
-    stats::StatGroup stats_;
 };
 
 /**

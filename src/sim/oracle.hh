@@ -54,7 +54,6 @@ class LiveValueOracle : public core::CycleObserver
                      const regfile::RegisterFile &int_rf) override;
 
     const GroupAccumulator &exactGroups() const { return exact_; }
-    const std::vector<unsigned> &similarityDs() const { return ds_; }
     const GroupAccumulator &similarityGroups(unsigned d_index) const
     {
         return similarity_.at(d_index);

@@ -56,7 +56,7 @@ std::string runResultJsonFull(const core::RunResult &result,
  * Parse a runResultJsonFull() object back into a RunResult.
  * Strict about the field order; the SMT, sampling and host-time
  * blocks are optional (absent fields keep their defaults). Returns nullopt on any malformed input —
- * the result store treats that as a corrupt shard line and skips it.
+ * the result store treats that as a corrupt line and skips it.
  */
 std::optional<core::RunResult>
 parseRunResultJson(std::string_view json);

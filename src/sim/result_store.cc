@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <functional>
-#include <thread>
 
 #include "common/hash.hh"
 #include "common/logging.hh"
-#include "sim/experiment_runner.hh"
 #include "sim/reporting.hh"
 
 namespace carf::sim
@@ -138,46 +135,30 @@ resultKeyFromFields(
     return hash.hexDigest();
 }
 
-ResultStore::ResultStore(std::string dir, std::string fingerprint,
-                         unsigned shards)
+ResultStore::ResultStore(std::string dir, std::string fingerprint)
     : dir_(std::move(dir)), fingerprint_(std::move(fingerprint)),
-      shards_(shards ? shards
-                     : std::min(8u, ExperimentRunner::hardwareJobs()))
+      path_(dir_ + "/results.ndjson")
 {
     std::error_code ec;
     fs::create_directories(dir_, ec);
     if (ec)
         fatal("ResultStore: cannot create '%s': %s", dir_.c_str(),
               ec.message().c_str());
-    shardFiles_.reserve(shards_);
-    for (unsigned s = 0; s < shards_; ++s)
-        shardFiles_.push_back(std::make_unique<Shard>());
-    loadShards();
-}
-
-ResultStore::~ResultStore()
-{
-    writeIndex();
-}
-
-std::string
-ResultStore::shardPath(unsigned shard) const
-{
-    return dir_ + strprintf("/shard-%03u.ndjson", shard);
+    load();
 }
 
 namespace
 {
 
 /**
- * Parse one shard line:
+ * Parse one store line:
  *   {"v":1,"fingerprint":"<hex>","key":"<hex>","result":{...}}
  * Fingerprints and keys are hex digests, so no escape handling is
  * needed before the result object.
  */
 bool
-parseShardLine(const std::string &line, std::string &fingerprint,
-               std::string &key, core::RunResult &result)
+parseLine(const std::string &line, std::string &key,
+          core::RunResult &result)
 {
     constexpr std::string_view head = "{\"v\":1,\"fingerprint\":\"";
     if (line.rfind(head, 0) != 0)
@@ -208,7 +189,6 @@ parseShardLine(const std::string &line, std::string &fingerprint,
     auto parsed = parseRunResultJson(obj);
     if (!parsed)
         return false;
-    fingerprint = line.substr(fp_begin, fp_end - fp_begin);
     key = line.substr(key_begin, key_end - key_begin);
     result = std::move(*parsed);
     return true;
@@ -217,49 +197,33 @@ parseShardLine(const std::string &line, std::string &fingerprint,
 } // namespace
 
 void
-ResultStore::loadShards()
+ResultStore::load()
 {
-    std::vector<std::string> paths;
-    for (const auto &entry : fs::directory_iterator(dir_)) {
-        std::string name = entry.path().filename().string();
-        if (name.rfind("shard-", 0) == 0 &&
-            name.size() > 7 /* ".ndjson" */ &&
-            name.compare(name.size() - 7, 7, ".ndjson") == 0)
-            paths.push_back(entry.path().string());
+    std::ifstream file(path_);
+    if (!file) {
+        if (fs::exists(path_))
+            warn("ResultStore: cannot read '%s'; starting empty",
+                 path_.c_str());
+        return;
     }
-    std::sort(paths.begin(), paths.end());
-
-    for (const std::string &path : paths) {
-        std::ifstream file(path);
-        if (!file) {
-            warn("ResultStore: cannot read shard '%s'; skipping",
-                 path.c_str());
+    std::string line;
+    size_t line_no = 0;
+    while (std::getline(file, line)) {
+        ++line_no;
+        if (line.empty())
+            continue;
+        std::string key;
+        core::RunResult result;
+        if (!parseLine(line, key, result)) {
+            // Expected after a SIGKILL tore the final append; anything
+            // else in the middle of the file is worth the same
+            // skip-and-continue treatment.
+            warn("ResultStore: skipping corrupt line %zu of '%s'",
+                 line_no, path_.c_str());
+            ++skippedLines_;
             continue;
         }
-        std::string line;
-        size_t line_no = 0;
-        while (std::getline(file, line)) {
-            ++line_no;
-            if (line.empty())
-                continue;
-            std::string fp, key;
-            core::RunResult result;
-            if (!parseShardLine(line, fp, key, result)) {
-                // Expected after a SIGKILL tore the final append;
-                // anything else in the middle of a shard is worth the
-                // same skip-and-continue treatment.
-                warn("ResultStore: skipping corrupt line %zu of '%s'",
-                     line_no, path.c_str());
-                ++skippedLines_;
-                continue;
-            }
-            auto [it, inserted] =
-                entries_.insert_or_assign(std::move(key),
-                                          std::move(result));
-            (void)it;
-            if (inserted)
-                ++perFingerprint_[fp];
-        }
+        entries_.insert_or_assign(std::move(key), std::move(result));
     }
 }
 
@@ -293,48 +257,37 @@ ResultStore::put(const std::string &key, const core::RunResult &result)
                        "\",\"result\":" + runResultJsonFull(result) +
                        "}\n";
 
-    // One writer slot per worker thread (hashed), so pool workers
-    // append to distinct shards almost always and only ever contend on
-    // a shard mutex, never on interleaved writes.
-    unsigned shard = static_cast<unsigned>(
-        std::hash<std::thread::id>()(std::this_thread::get_id()) %
-        shards_);
     {
-        Shard &s = *shardFiles_[shard];
-        std::lock_guard<std::mutex> lock(s.mutex);
-        if (!s.file.is_open()) {
-            std::string path = shardPath(shard);
+        std::lock_guard<std::mutex> lock(fileMutex_);
+        if (!file_.is_open()) {
             // Seal a torn final line left by a SIGKILL mid-append:
             // the fragment becomes one corrupt line (skipped on load)
             // instead of corrupting the next record.
             std::error_code ec;
-            u64 size = fs::exists(path, ec) ? fs::file_size(path, ec) : 0;
+            u64 size = fs::exists(path_, ec) ? fs::file_size(path_, ec) : 0;
             bool needs_seal = false;
             if (!ec && size > 0) {
-                std::ifstream tail(path, std::ios::binary);
+                std::ifstream tail(path_, std::ios::binary);
                 tail.seekg(static_cast<std::streamoff>(size - 1));
                 char last = '\n';
                 tail.get(last);
                 needs_seal = last != '\n';
             }
-            s.file.open(path, std::ios::app);
-            if (!s.file)
+            file_.open(path_, std::ios::app);
+            if (!file_)
                 fatal("ResultStore: cannot append to '%s'",
-                      path.c_str());
+                      path_.c_str());
             if (needs_seal)
-                s.file << '\n';
+                file_ << '\n';
         }
-        s.file << line;
-        s.file.flush();
-        if (!s.file)
-            fatal("ResultStore: short write to shard %u of '%s'", shard,
-                  dir_.c_str());
+        file_ << line;
+        file_.flush();
+        if (!file_)
+            fatal("ResultStore: short write to '%s'", path_.c_str());
     }
 
     std::lock_guard<std::mutex> lock(mapMutex_);
-    bool inserted = entries_.insert_or_assign(key, result).second;
-    if (inserted)
-        ++perFingerprint_[fingerprint_];
+    entries_.insert_or_assign(key, result);
 }
 
 size_t
@@ -342,49 +295,6 @@ ResultStore::size() const
 {
     std::lock_guard<std::mutex> lock(mapMutex_);
     return entries_.size();
-}
-
-void
-ResultStore::writeIndex() const
-{
-    std::string json;
-    u64 total = 0;
-    {
-        std::lock_guard<std::mutex> lock(mapMutex_);
-        json = "{\"v\":1";
-        json += strprintf(",\"shards\":%u", shards_);
-        json += ",\"fingerprints\":{";
-        bool first = true;
-        for (const auto &[fp, count] : perFingerprint_) {
-            json += strprintf("%s\"%s\":%llu", first ? "" : ",",
-                              fp.c_str(), (unsigned long long)count);
-            total += count;
-            first = false;
-        }
-        json += strprintf("},\"entries\":%llu}",
-                          (unsigned long long)total);
-    }
-
-    std::string path = dir_ + "/index.json";
-    std::string tmp = path + ".tmp";
-    {
-        std::ofstream file(tmp, std::ios::trunc);
-        if (!file) {
-            warn("ResultStore: cannot write '%s'", tmp.c_str());
-            return;
-        }
-        file << json << "\n";
-        file.flush();
-        if (!file) {
-            warn("ResultStore: short write to '%s'", tmp.c_str());
-            return;
-        }
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec)
-        warn("ResultStore: cannot rename '%s' into place: %s",
-             tmp.c_str(), ec.message().c_str());
 }
 
 } // namespace carf::sim

@@ -9,25 +9,16 @@
  * hit returns a bit-identical result — host-time fields included, the
  * seconds the original computation took.
  *
- * On-disk layout under the store directory:
- *   shard-NNN.ndjson   one append-only NDJSON file per writer slot;
- *                      each line {"v":1,"fingerprint":...,"key":...,
- *                      "result":{...}}. Appends are flushed per
- *                      record, so a SIGKILL loses at most the line
- *                      being written; loading skips (and counts) any
- *                      line that does not parse, and reopening a
- *                      shard whose last write was torn first seals it
- *                      with a newline so the next append starts
- *                      clean.
- *   index.json         advisory summary (entry/shard/fingerprint
- *                      counts), written atomically via
- *                      write-temp-then-rename. Loading always scans
- *                      the shards — the index is for humans and
- *                      tooling, never a source of truth, so a stale
- *                      or missing index cannot corrupt anything.
+ * On-disk layout: one append-only results.ndjson under the store
+ * directory, one line {"v":1,"fingerprint":...,"key":...,"result":
+ * {...}} per put(). Appends are flushed per record, so a SIGKILL loses
+ * at most the line being written; loading skips (and counts) any line
+ * that does not parse, and reopening a file whose last write was torn
+ * first seals it with a newline so the next append starts clean.
  *
  * Thread safety: get()/put() may be called concurrently from any
- * number of threads (the ExperimentRunner pool does). Multi-process
+ * number of threads (the ExperimentRunner pool does); appends take one
+ * file mutex, after put() has formatted its line. Multi-process
  * sharing of one live store directory is NOT supported — the sweep
  * orchestrator owns a store per run and reopens it on restart.
  */
@@ -38,7 +29,6 @@
 #include <atomic>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -77,12 +67,9 @@ class ResultStore
   public:
     /**
      * Open (creating if needed) the store at @p dir and load every
-     * entry from its shards. @p shards is the writer-slot count (0
-     * selects a default sized for the hardware thread count).
+     * entry from its file.
      */
-    ResultStore(std::string dir, std::string fingerprint,
-                unsigned shards = 0);
-    ~ResultStore();
+    ResultStore(std::string dir, std::string fingerprint);
 
     ResultStore(const ResultStore &) = delete;
     ResultStore &operator=(const ResultStore &) = delete;
@@ -103,7 +90,7 @@ class ResultStore
     std::optional<core::RunResult> get(const std::string &key) const;
 
     /**
-     * Insert (or overwrite) @p key. The entry is appended to a shard
+     * Insert (or overwrite) @p key. The entry is appended to the file
      * and flushed before put() returns, so a later SIGKILL cannot
      * lose it.
      */
@@ -113,31 +100,23 @@ class ResultStore
     size_t size() const;
     u64 hits() const { return hits_.load(std::memory_order_relaxed); }
     u64 misses() const { return misses_.load(std::memory_order_relaxed); }
-    /** Shard lines skipped as corrupt/truncated during open. */
+    /** Lines skipped as corrupt/truncated during open. */
     u64 skippedLines() const { return skippedLines_; }
 
-    /** Write index.json atomically (temp + rename). */
-    void writeIndex() const;
-
   private:
-    void loadShards();
-    std::string shardPath(unsigned shard) const;
+    void load();
 
     std::string dir_;
     std::string fingerprint_;
-    unsigned shards_;
+    /** dir_ + "/results.ndjson". */
+    std::string path_;
 
     mutable std::mutex mapMutex_;
     std::map<std::string, core::RunResult> entries_;
-    /** Entry count per fingerprint, for the index. */
-    std::map<std::string, u64> perFingerprint_;
 
-    struct Shard
-    {
-        std::mutex mutex;
-        std::ofstream file;
-    };
-    std::vector<std::unique_ptr<Shard>> shardFiles_;
+    std::mutex fileMutex_;
+    /** Opened for append by the first put(). */
+    std::ofstream file_;
 
     mutable std::atomic<u64> hits_{0};
     mutable std::atomic<u64> misses_{0};

@@ -189,6 +189,31 @@ TEST(ContentAware, ForcedRecoveryOverflowsAndRetires)
     EXPECT_EQ(rf.freeLongEntries(), 1u);
 }
 
+TEST(ContentAware, ResetZeroesStallAndRecoveryCounts)
+{
+    ContentAwareParams p = paperParams();
+    p.longEntries = 1;
+    p.issueStallThreshold = 0;
+    ContentAwareRegFile rf("t", 16, p);
+    rf.write(0, 0x1111111111111111ull);
+    EXPECT_TRUE(rf.write(1, 0x2222222222222222ull).stalled);
+    EXPECT_FALSE(rf.writeForced(1, 0x2222222222222222ull).stalled);
+    EXPECT_EQ(rf.stats().writeStalls, 1u);
+    EXPECT_EQ(rf.stats().recoveries, 1u);
+
+    rf.reset();
+    EXPECT_EQ(rf.stats().writeStalls, 0u);
+    EXPECT_EQ(rf.stats().recoveries, 0u);
+    EXPECT_EQ(rf.freeLongEntries(), 1u);
+    EXPECT_EQ(rf.checkInvariants(), "");
+
+    // The counts start over from zero.
+    rf.write(2, 0x3333333333333333ull);
+    EXPECT_TRUE(rf.write(3, 0x4444444444444444ull).stalled);
+    EXPECT_EQ(rf.stats().writeStalls, 1u);
+    EXPECT_EQ(rf.stats().recoveries, 0u);
+}
+
 TEST(ContentAware, IssueStallThreshold)
 {
     ContentAwareParams p = paperParams();

@@ -3,8 +3,8 @@
  * Content-addressed result store suite: key canonicalization (stable
  * under field reordering, sensitive to every simulation-relevant
  * field, invalidated by the build fingerprint), bit-identical
- * round-trips through the on-disk shards, concurrent writers,
- * corrupt/truncated shard tolerance, and the ExperimentRunner
+ * round-trips through the on-disk file, concurrent writers,
+ * corrupt/truncated line tolerance, and the ExperimentRunner
  * read-through path including kill/resume equivalence.
  */
 
@@ -368,7 +368,7 @@ TEST(ResultStore, HitReturnsBitIdenticalRunResult)
     core::RunResult original = fabricatedResult();
 
     {
-        ResultStore store(dir.str(), "fp0", 1);
+        ResultStore store(dir.str(), "fp0");
         EXPECT_FALSE(store.get("k1").has_value());
         EXPECT_EQ(store.misses(), 1u);
         store.put("k1", original);
@@ -377,7 +377,7 @@ TEST(ResultStore, HitReturnsBitIdenticalRunResult)
 
     // Reopen from disk: the hit must round-trip every field bitwise,
     // host times included.
-    ResultStore store(dir.str(), "fp0", 1);
+    ResultStore store(dir.str(), "fp0");
     EXPECT_EQ(store.size(), 1u);
     auto hit = store.get("k1");
     ASSERT_TRUE(hit.has_value());
@@ -415,7 +415,7 @@ TEST(ResultStore, ConcurrentWriters)
     constexpr unsigned kPerThread = 25;
 
     {
-        ResultStore store(dir.str(), "fp0", 4);
+        ResultStore store(dir.str(), "fp0");
         std::vector<std::thread> pool;
         for (unsigned t = 0; t < kThreads; ++t) {
             pool.emplace_back([&store, t] {
@@ -435,38 +435,42 @@ TEST(ResultStore, ConcurrentWriters)
         EXPECT_EQ(store.size(), kThreads * kPerThread);
     }
 
-    // Everything survives a reload, regardless of which shard each
-    // writer landed in.
-    ResultStore store(dir.str(), "fp0", 4);
+    // Every writer's lines landed whole in the one file: a reload
+    // returns each entry bit-identical to what was put.
+    ResultStore store(dir.str(), "fp0");
     EXPECT_EQ(store.size(), kThreads * kPerThread);
     EXPECT_EQ(store.skippedLines(), 0u);
     for (unsigned t = 0; t < kThreads; ++t)
         for (unsigned i = 0; i < kPerThread; ++i) {
+            core::RunResult expected = fabricatedResult();
+            expected.cycles = t * 1000 + i;
+            expected.workload = strprintf("w%u_%u", t, i);
             auto hit = store.get(strprintf("key_%u_%u", t, i));
             ASSERT_TRUE(hit.has_value());
-            EXPECT_EQ(hit->cycles, t * 1000 + i);
+            EXPECT_EQ(runResultJsonFull(*hit), runResultJsonFull(expected));
         }
 }
 
-TEST(ResultStore, CorruptShardToleratedWithSkip)
+TEST(ResultStore, CorruptLineToleratedWithSkip)
 {
     TempDir dir("corrupt");
     {
-        ResultStore store(dir.str(), "fp0", 1);
+        ResultStore store(dir.str(), "fp0");
         store.put("good1", fabricatedResult());
         store.put("good2", fabricatedResult());
     }
 
     // Append garbage plus a torn (newline-less) record fragment, the
     // post-SIGKILL shapes.
-    auto shard = dir.path / "shard-000.ndjson";
+    auto file = dir.path / "results.ndjson";
+    ASSERT_TRUE(fs::exists(file));
     {
-        std::ofstream f(shard, std::ios::app | std::ios::binary);
+        std::ofstream f(file, std::ios::app | std::ios::binary);
         f << "this is not json\n";
         f << "{\"v\":1,\"fingerprint\":\"fp0\",\"key\":\"torn\",\"resu";
     }
 
-    ResultStore store(dir.str(), "fp0", 1);
+    ResultStore store(dir.str(), "fp0");
     EXPECT_EQ(store.size(), 2u);
     EXPECT_EQ(store.skippedLines(), 2u);
     EXPECT_TRUE(store.get("good1").has_value());
@@ -475,26 +479,9 @@ TEST(ResultStore, CorruptShardToleratedWithSkip)
     // A put through the reopened store must seal the torn tail so the
     // new record is loadable afterwards.
     store.put("good3", fabricatedResult());
-    ResultStore reloaded(dir.str(), "fp0", 1);
+    ResultStore reloaded(dir.str(), "fp0");
     EXPECT_EQ(reloaded.size(), 3u);
     EXPECT_TRUE(reloaded.get("good3").has_value());
-}
-
-TEST(ResultStore, IndexWrittenAtomically)
-{
-    TempDir dir("index");
-    ResultStore store(dir.str(), "fp0", 1);
-    store.put("k", fabricatedResult());
-    store.writeIndex();
-
-    std::ifstream f(dir.path / "index.json");
-    ASSERT_TRUE(f.good());
-    std::string contents((std::istreambuf_iterator<char>(f)),
-                         std::istreambuf_iterator<char>());
-    EXPECT_NE(contents.find("\"entries\":1"), std::string::npos);
-    EXPECT_NE(contents.find("\"fp0\""), std::string::npos);
-    // No temp file left behind by the rename protocol.
-    EXPECT_FALSE(fs::exists(dir.path / "index.json.tmp"));
 }
 
 TEST(ResultStore, RunnerReadsThroughStore)

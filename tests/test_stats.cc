@@ -10,17 +10,6 @@
 namespace carf::stats
 {
 
-TEST(Counter, IncrementAndAdd)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    ++c;
-    c += 41;
-    EXPECT_EQ(c.value(), 42u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
 TEST(Average, MeanOfSamples)
 {
     Average a;
@@ -31,77 +20,6 @@ TEST(Average, MeanOfSamples)
     EXPECT_DOUBLE_EQ(a.mean(), 4.0);
     EXPECT_EQ(a.count(), 3u);
     EXPECT_DOUBLE_EQ(a.sum(), 12.0);
-}
-
-TEST(Distribution, SamplesAndFractions)
-{
-    Distribution d(4);
-    d.sample(0);
-    d.sample(1, 3);
-    d.sample(3, 6);
-    EXPECT_EQ(d.total(), 10u);
-    EXPECT_DOUBLE_EQ(d.fraction(1), 0.3);
-    EXPECT_DOUBLE_EQ(d.fraction(2), 0.0);
-}
-
-TEST(Distribution, OutOfRangeClampsToLastBucket)
-{
-    Distribution d(3);
-    d.sample(17);
-    EXPECT_EQ(d.bucket(2), 1u);
-}
-
-TEST(Distribution, ResetClears)
-{
-    Distribution d(2);
-    d.sample(0, 5);
-    d.reset();
-    EXPECT_EQ(d.total(), 0u);
-}
-
-TEST(StatGroup, CounterRegistrationAndQuery)
-{
-    StatGroup group("test");
-    Counter &c = group.addCounter("events", "number of events");
-    c += 7;
-    EXPECT_TRUE(group.hasCounter("events"));
-    EXPECT_FALSE(group.hasCounter("missing"));
-    EXPECT_EQ(group.counterValue("events"), 7u);
-}
-
-TEST(StatGroup, AverageRegistrationAndQuery)
-{
-    StatGroup group("test");
-    Average &a = group.addAverage("occupancy", "avg occupancy");
-    a.sample(10.0);
-    a.sample(20.0);
-    EXPECT_DOUBLE_EQ(group.averageValue("occupancy"), 15.0);
-}
-
-TEST(StatGroup, DumpContainsNamesAndValues)
-{
-    StatGroup group("rf");
-    group.addCounter("reads", "read accesses") += 3;
-    std::string dump = group.dump();
-    EXPECT_NE(dump.find("rf.reads 3"), std::string::npos);
-    EXPECT_NE(dump.find("read accesses"), std::string::npos);
-}
-
-TEST(StatGroup, ResetAllZeroesEverything)
-{
-    StatGroup group("g");
-    group.addCounter("c", "") += 5;
-    group.addAverage("a", "").sample(3.0);
-    group.resetAll();
-    EXPECT_EQ(group.counterValue("c"), 0u);
-    EXPECT_DOUBLE_EQ(group.averageValue("a"), 0.0);
-}
-
-TEST(StatGroupDeathTest, DuplicateCounterPanics)
-{
-    StatGroup group("g");
-    group.addCounter("x", "");
-    EXPECT_DEATH(group.addCounter("x", ""), "duplicate");
 }
 
 } // namespace carf::stats

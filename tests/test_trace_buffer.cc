@@ -2,8 +2,8 @@
  * @file
  * Tests for the in-memory trace subsystem: TraceBuffer's derived and
  * predicted-field encoding (emulator streams store no derivable
- * field; irregular records and predictor aliasing replay exactly) and
- * replay cursor, the byte budget that stops a build, TraceCache's
+ * field; predictor aliasing replays exactly; underivable records panic)
+ * and replay cursor, the byte budget that stops a build, TraceCache's
  * build-once/budget/LRU contracts, and — the load-bearing property —
  * bit-identical simulation results between streaming emulation and
  * cached zero-copy replay, serially and under ExperimentRunner
@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <memory>
 #include <set>
@@ -40,7 +41,9 @@ namespace
 /**
  * A deterministic, well-formed program-order stream (dense seq, pc
  * chain) that never touches the emulator; keeps the cache unit tests
- * fast and independent of the workload registry.
+ * fast and independent of the workload registry. Every record is a
+ * load whose base register holds what program order put there, with a
+ * random address and result, so the encoding stores most of it.
  */
 class SyntheticSource : public TraceSource
 {
@@ -57,14 +60,16 @@ class SyntheticSource : public TraceSource
         out = DynOp{};
         out.seq = made_;
         out.pc = pc_;
-        out.op = isa::Opcode::NOP;
+        out.op = isa::Opcode::LD;
         out.rd = static_cast<u8>(rng_.nextBounded(32));
         out.rs1 = static_cast<u8>(rng_.nextBounded(32));
+        // LD reads no rs2, so its rs2Value is 0 whatever rs2 says.
         out.rs2 = static_cast<u8>(rng_.nextBounded(32));
-        out.rs1Value = rng_.next();
-        out.rs2Value = rng_.next();
-        out.rdValue = rng_.next();
+        out.rs1Value = regs_[out.rs1];
         out.effAddr = rng_.next();
+        // x0 discards its result.
+        out.rdValue = out.rd != 0 ? rng_.next() : 0;
+        regs_[out.rd] = out.rdValue;
         out.taken = rng_.chance(0.3);
         out.nextPc = out.taken ? rng_.nextBounded(1u << 20) : pc_ + 1;
         pc_ = out.nextPc;
@@ -78,6 +83,7 @@ class SyntheticSource : public TraceSource
     u64 count_;
     u64 made_ = 0;
     u64 pc_ = 0;
+    std::array<u64, 32> regs_{};
     Rng rng_;
 };
 
@@ -295,48 +301,6 @@ TEST(TraceBuffer, ReplayMatchesFreshEmulationForEveryWorkload)
     }
 }
 
-TEST(TraceBuffer, CursorResetReplaysIdenticalStream)
-{
-    SyntheticSource source(3000, 7);
-    auto buffer = TraceBuffer::build(source, "synthetic", 3000);
-    ASSERT_EQ(buffer->size(), 3000u);
-
-    std::vector<DynOp> first;
-    TraceBuffer::Cursor cursor(*buffer);
-    DynOp op;
-    while (cursor.next(op))
-        first.push_back(op);
-    ASSERT_EQ(first.size(), 3000u);
-
-    cursor.reset();
-    EXPECT_EQ(cursor.position(), 0u);
-    u64 index = 0;
-    while (cursor.next(op))
-        expectSameOp(op, first[index], index), ++index;
-    EXPECT_EQ(index, 3000u);
-}
-
-TEST(TraceBuffer, CursorSkipMatchesDrainingTheSamePrefix)
-{
-    SyntheticSource source(1000, 3);
-    auto buffer = TraceBuffer::build(source, "synthetic", 1000);
-
-    TraceBuffer::Cursor skipped(*buffer);
-    skipped.skip(400);
-    EXPECT_EQ(skipped.position(), 400u);
-
-    TraceBuffer::Cursor drained(*buffer);
-    DynOp op;
-    for (int i = 0; i < 400; ++i)
-        ASSERT_TRUE(drained.next(op));
-    expectSameStream(drained, skipped);
-
-    // Skip clamps at the end instead of running past it.
-    skipped.skip(~u64{0});
-    EXPECT_EQ(skipped.position(), 1000u);
-    EXPECT_FALSE(skipped.next(op));
-}
-
 TEST(TraceBuffer, CursorBudgetCapsReplayLikeAFreshEmulation)
 {
     SyntheticSource source(2000, 9);
@@ -365,9 +329,9 @@ TEST(TraceBuffer, EncodingIsSmallerThanTheNaiveDynOpArray)
     auto buffer = TraceBuffer::build(source, "synthetic", 10000);
     auto sizes = buffer->fieldSizes();
     EXPECT_GT(sizes.total(), 0u);
-    // SyntheticSource's random values make every record irregular, so
-    // each keeps its value fields verbatim (~44 B/record) vs the 72 B
-    // DynOp: demand at least a 1.5x win even so.
+    // SyntheticSource's random addresses and results are stored, and
+    // so are most decodes (~22 B/record) vs the 72 B DynOp: demand at
+    // least a 1.5x win even so.
     EXPECT_LT(sizes.total() * 3, buffer->size() * sizeof(DynOp) * 2);
     EXPECT_GE(buffer->memoryBytes(), sizes.total());
 }
@@ -381,8 +345,6 @@ TEST(TraceBuffer, EmulatedTracesStoreOnlyUnderivedFields)
     u64 records = 0;
     forEachEmulatedTrace(100000, [&](const std::string &name,
                                      const TraceBuffer &buffer) {
-        EXPECT_EQ(buffer.irregularRecords(), 0u) << name;
-        EXPECT_EQ(buffer.fieldSizes().irregular, 0u) << name;
         std::set<u64> pcs;
         TraceBuffer::Cursor cursor(buffer);
         DynOp op;
@@ -398,98 +360,6 @@ TEST(TraceBuffer, EmulatedTracesStoreOnlyUnderivedFields)
     EXPECT_LE(bytes, 5.5 * records);
 }
 
-TEST(TraceBuffer, IrregularRecordsReplayExactly)
-{
-    std::vector<DynOp> ops;
-    auto trace =
-        workloads::makeTrace(workloads::findWorkload("hash_table"), 4000);
-    DynOp op;
-    while (trace->next(op))
-        ops.push_back(op);
-    ASSERT_EQ(ops.size(), 4000u);
-
-    auto find = [&ops](u64 from, auto pred) {
-        for (u64 i = from; i + 1 < ops.size(); ++i) {
-            if (pred(ops[i], ops[i + 1]))
-                return i;
-        }
-        ADD_FAILURE() << "no candidate record after " << from;
-        return from;
-    };
-    auto reads_int = [](const DynOp &o, u8 reg) {
-        const isa::OpInfo &info = o.info();
-        return (info.rs1Class == isa::RegClass::Int && o.rs1 == reg) ||
-               (info.rs2Class == isa::RegClass::Int && o.rs2 == reg);
-    };
-
-    // (1) A flipped rs1Value on a record whose result a later record
-    // reads. Its rdValue changes too, and so do the source values of
-    // the readers up to the next write of rd: those readers stay
-    // derivable only if the irregular record's rdValue retires.
-    u64 flipped = find(100, [&](const DynOp &o, const DynOp &after) {
-        return o.info().rs1Class == isa::RegClass::Int &&
-               o.writesIntReg() && reads_int(after, o.rd);
-    });
-    ops[flipped].rs1Value ^= 1;
-    u8 reg = ops[flipped].rd;
-    u64 retired = ops[flipped].rdValue ^ 0xf00d;
-    ops[flipped].rdValue = retired;
-    u64 readers = 0;
-    for (u64 j = flipped + 1; j < ops.size(); ++j) {
-        const isa::OpInfo &info = ops[j].info();
-        if (info.rs1Class == isa::RegClass::Int && ops[j].rs1 == reg)
-            ops[j].rs1Value = retired, ++readers;
-        if (info.rs2Class == isa::RegClass::Int && ops[j].rs2 == reg)
-            ops[j].rs2Value = retired, ++readers;
-        if (ops[j].writesIntReg() && ops[j].rd == reg)
-            break;
-    }
-    EXPECT_GT(readers, 0u);
-
-    // (2) An effective address on an ALU op.
-    u64 alu = find(1000, [](const DynOp &o, const DynOp &) {
-        return o.info().opClass == isa::OpClass::IntAlu;
-    });
-    ops[alu].effAddr = 0x1234;
-
-    // (3) A result on x0 (a jump whose link is discarded).
-    u64 x0 = find(2000, [](const DynOp &o, const DynOp &) {
-        return isa::writesIntReg(o.op) && o.rd == 0;
-    });
-    ops[x0].rdValue = 0xbad;
-
-    // (4) A non-taken record whose successor is not pc+1. The
-    // successor is taken, so its own nextPc is stored, not derived.
-    u64 jumped = find(3000, [](const DynOp &o, const DynOp &after) {
-        return !o.taken && after.taken;
-    });
-    ops[jumped].nextPc = ops[jumped].pc + 5;
-    ops[jumped + 1].pc = ops[jumped].nextPc;
-
-    VectorSource source(ops);
-    auto buffer = TraceBuffer::build(source, "perturbed", ops.size());
-    EXPECT_EQ(buffer->irregularRecords(), 4u);
-    EXPECT_GT(buffer->fieldSizes().irregular, 0u);
-
-    TraceBuffer::Cursor cursor(*buffer);
-    VectorSource expected(ops);
-    expectSameStream(expected, cursor);
-    cursor.reset();
-    VectorSource again(ops);
-    expectSameStream(again, cursor);
-
-    for (u64 at : {u64{0}, flipped, flipped + 1, alu, x0, x0 + 1, jumped,
-                   jumped + 1, u64{ops.size()}}) {
-        SCOPED_TRACE(at);
-        TraceBuffer::Cursor skipped(*buffer);
-        skipped.skip(at);
-        EXPECT_EQ(skipped.position(), at);
-        std::vector<DynOp> tail(ops.begin() + at, ops.end());
-        VectorSource rest(tail);
-        expectSameStream(rest, skipped);
-    }
-}
-
 TEST(TraceBuffer, PredictorAliasingReplaysExactly)
 {
     // fetch_wall runs more static instructions than the predictor has
@@ -501,7 +371,6 @@ TEST(TraceBuffer, PredictorAliasingReplaysExactly)
     EXPECT_GT(pcs.size(), TraceBuffer::kPredictorEntries);
     VectorSource source(ops);
     auto buffer = TraceBuffer::build(source, "fetch_wall", ops.size());
-    EXPECT_EQ(buffer->irregularRecords(), 0u);
     EXPECT_LT(buffer->predictionStats().decode.hits, ops.size() / 2);
     TraceBuffer::Cursor cursor(*buffer);
     expectReplays(cursor, ops, 0);
@@ -533,7 +402,6 @@ TEST(TraceBuffer, PredictorAliasingReplaysExactly)
         auto ping = alternating(other);
         VectorSource ping_source(ping);
         auto pinged = TraceBuffer::build(ping_source, "ping", ping.size());
-        EXPECT_EQ(pinged->irregularRecords(), 0u);
         const auto &stats = pinged->predictionStats();
         if (other == 101) {
             EXPECT_EQ(stats.decode.hits, ping.size() - 2);
@@ -547,70 +415,11 @@ TEST(TraceBuffer, PredictorAliasingReplaysExactly)
     }
 }
 
-TEST(TraceBuffer, DenseIrregularRecordsReplayExactly)
-{
-    // Every 7th record reads an rs2Value its register does not hold
-    // (irregular); every 13th writer's rdValue changes without its
-    // readers seeing it, so those readers turn irregular too, while
-    // the regular records between them go on being predicted.
-    auto ops = emulated("crc", 20000);
-    for (u64 i = 0; i < ops.size(); ++i) {
-        if (i % 7 == 3)
-            ops[i].rs2Value += 1;
-        if (i % 13 == 5 && ops[i].writesReg())
-            ops[i].rdValue ^= 0x5a;
-    }
-    VectorSource source(ops);
-    auto buffer = TraceBuffer::build(source, "crc", ops.size());
-    EXPECT_GT(buffer->irregularRecords(), ops.size() / 7);
-    EXPECT_LT(buffer->irregularRecords(), ops.size() / 2);
-    EXPECT_GT(buffer->predictionStats().rdValue.hits, 0u);
-
-    TraceBuffer::Cursor cursor(*buffer);
-    expectReplays(cursor, ops, 0);
-    cursor.reset();
-    expectReplays(cursor, ops, 0);
-    for (u64 at : {u64{1}, u64{3}, u64{4}, u64{5}, u64{6}, u64{4100},
-                   u64{ops.size() - 1}}) {
-        SCOPED_TRACE(at);
-        cursor.reset();
-        cursor.skip(at);
-        expectReplays(cursor, ops, at, 3000);
-    }
-}
-
-TEST(TraceBuffer, SkipAndResetMatchDrainingAtEveryPosition)
-{
-    // Positions in the first records, while the predictor is still
-    // cold, around block and table-size edges, and at the end; on a
-    // fresh cursor and on one reset after reading elsewhere.
-    for (const char *name : {"hash_table", "fetch_wall"}) {
-        auto ops = emulated(name, 14000);
-        VectorSource source(ops);
-        auto buffer = TraceBuffer::build(source, name, ops.size());
-        TraceBuffer::Cursor reused(*buffer);
-        for (u64 at : {u64{0}, u64{1}, u64{2}, u64{3}, u64{7}, u64{100},
-                       block - 1, block, TraceBuffer::kPredictorEntries,
-                       u64{12345}, u64{ops.size() - 1}, u64{ops.size()}}) {
-            SCOPED_TRACE(std::string(name) + " @ " + std::to_string(at));
-            TraceBuffer::Cursor fresh(*buffer);
-            fresh.skip(at);
-            EXPECT_EQ(fresh.position(), at);
-            expectReplays(fresh, ops, at, 2000);
-
-            reused.skip(777);
-            reused.reset();
-            EXPECT_EQ(reused.position(), 0u);
-            reused.skip(at);
-            expectReplays(reused, ops, at, 2000);
-        }
-    }
-}
-
 TEST(TraceBuffer, ConcurrentCursorsReplayExactly)
 {
-    // Cursors on four threads share one buffer, each resetting and
-    // skipping to its own positions; each carries its own predictor.
+    // Cursors on four threads share one buffer, each checking the
+    // records from its own positions on; each carries its own
+    // predictor.
     auto ops = emulated("fetch_wall", 20000);
     VectorSource source(ops);
     auto buffer = TraceBuffer::build(source, "fetch_wall", ops.size());
@@ -619,15 +428,13 @@ TEST(TraceBuffer, ConcurrentCursorsReplayExactly)
     std::vector<std::thread> threads;
     for (u64 t = 0; t < 4; ++t) {
         threads.emplace_back([&, t] {
-            TraceBuffer::Cursor cursor(*buffer);
             for (u64 round = 0; round < 3; ++round) {
                 u64 at = (t * 3 + round) * 1500;
-                cursor.reset();
-                cursor.skip(at);
+                TraceBuffer::Cursor cursor(*buffer);
                 DynOp op;
-                for (u64 i = at; cursor.next(op); ++i) {
+                for (u64 i = 0; cursor.next(op); ++i) {
                     mismatches += i >= ops.size() || !sameOp(op, ops[i]);
-                    ++replayed;
+                    replayed += i >= at;
                 }
             }
         });
@@ -639,6 +446,26 @@ TEST(TraceBuffer, ConcurrentCursorsReplayExactly)
     for (u64 at = 0; at < 12; ++at)
         expected += ops.size() - at * 1500;
     EXPECT_EQ(replayed.load(), expected);
+}
+
+TEST(TraceBufferDeathTest, UnderivableRecordPanics)
+{
+    // A source value that is not its register's content cannot come
+    // from the emulator, and a cursor could not derive it.
+    auto ops = emulated("hash_table", 2000);
+    auto reads_rs1 = [](const DynOp &o) {
+        return o.info().rs1Class == isa::RegClass::Int;
+    };
+    auto it = std::find_if(ops.begin() + 100, ops.end(), reads_rs1);
+    ASSERT_NE(it, ops.end());
+    it->rs1Value ^= 1;
+    EXPECT_DEATH(
+        {
+            VectorSource source(ops);
+            TraceBuffer::build(source, "perturbed", ops.size());
+        },
+        "record .* has a source value, result, effAddr or nextPc that "
+        "program order does not give");
 }
 
 TEST(MeteredSource, MatchesFreshEmulationAcrossBlockEdges)
@@ -731,7 +558,7 @@ TEST(TraceCache, HaltedTraceServesAnyBudget)
 
 TEST(TraceCache, OversizeRequestFallsBackWithoutBuilding)
 {
-    TraceCache cache(64 << 10); // 64 KiB: ~1.4k records at most
+    TraceCache cache(64 << 10); // 64 KiB: ~3k records at most
     int started = 0;
     auto builder = [&started] {
         ++started;
@@ -814,13 +641,14 @@ TEST(TraceCache, OverBudgetBuildStopsWithinOneBlock)
 
 TEST(TraceCache, LruEvictionKeepsResidencyUnderTheByteBudget)
 {
-    // Budget fits one ~4k-record trace (~170 KiB) but not two.
-    TraceCache cache(300 << 10);
+    // Budget fits one ~4k-record trace but not two.
     auto builder = [](u64 seed) {
         return [seed] {
             return std::make_unique<SyntheticSource>(4096, seed);
         };
     };
+    u64 one = TraceBuffer::build(*builder(1)(), "a", 4096)->memoryBytes();
+    TraceCache cache(one * 3 / 2);
     ASSERT_TRUE(cache.acquire("a", 4096, builder(1)));
     ASSERT_TRUE(cache.acquire("b", 4096, builder(2)));
 

@@ -8,7 +8,7 @@
  * only the misses — sharded across the ExperimentRunner worker
  * pool, one job per task — and streams
  * one NDJSON line per result to stdout as it lands. Completed results
- * are flushed to the store's shards immediately, so a killed run
+ * are flushed to the store's file immediately, so a killed run
  * resumes where it left off: re-invoking with the same store_dir
  * skips every cached key. The merged output file is written
  * temp-then-rename, in job order, without host-time fields, so an
@@ -202,7 +202,7 @@ main(int argc, char **argv)
         fatal("carf_sweep: '%s' expands to zero jobs",
               sweep_path.c_str());
 
-    sim::ResultStore store(store_dir, buildFingerprint(), jobs);
+    sim::ResultStore store(store_dir, buildFingerprint());
     for (sim::ExperimentJob &job : batch)
         job.options.resultStore = &store;
 
@@ -214,7 +214,7 @@ main(int argc, char **argv)
 
     // Stream one NDJSON line per result as it lands (cache hits
     // first, then computed results in completion order). The runner
-    // has already flushed computed results into the store's shards by
+    // has already flushed computed results into the store's file by
     // the time the callback fires, so a kill during the stream loses
     // nothing.
     sim::ExperimentRunner runner(jobs);
@@ -238,7 +238,6 @@ main(int argc, char **argv)
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
             .count();
-    store.writeIndex();
 
     // Merged output: job order, deterministic serialization (host
     // times off by default), written temp-then-rename so readers

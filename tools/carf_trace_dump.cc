@@ -6,10 +6,9 @@
  *
  * Builds the in-memory TraceBuffer of the first N (default 2M)
  * instructions of a registry workload and prints its memory
- * footprint: record count, irregular-record count, per-array byte
- * breakdown of the encoding (control bytes, mispredicted decodes,
- * compact values, taken targets, verbatim irregular records), bytes
- * per record, the ratio to the naive DynOp array a streaming replayer
+ * footprint: record count, per-array byte breakdown of the encoding
+ * (control bytes, mispredicted decodes, compact values, taken
+ * targets), bytes per record, the ratio to the naive DynOp array a streaming replayer
  * would hold, and for each predicted field (decode, effAddr, taken
  * target, rdValue by code) its hit rate and the bytes its
  * mispredictions store. workload= is required; any other key is
@@ -60,13 +59,10 @@ printFootprint(const std::string &workload, u64 insts)
     std::printf("trace '%s': %llu records%s\n", buffer->name().c_str(),
                 (unsigned long long)records,
                 buffer->sawHalt() ? " (source ended before budget)" : "");
-    std::printf("  %llu irregular records (value fields kept verbatim)\n",
-                (unsigned long long)buffer->irregularRecords());
     printSize("control", sizes.control, records);
     printSize("decode", sizes.decode, records);
     printSize("values", sizes.values, records);
     printSize("targets", sizes.targets, records);
-    printSize("irregular", sizes.irregular, records);
     printSize("total", sizes.total(), records);
     std::printf("  resident   %10.2f KiB (incl. vector overhead)\n",
                 buffer->memoryBytes() / 1024.0);
