@@ -4,7 +4,6 @@
  *
  * Every harness accepts "key=value" overrides; the universal keys are
  *   insts=N    dynamic instruction budget per workload (default 500k)
- *   csv=1      additionally print tables as CSV
  *   jobs=N     simulation worker threads (default: hardware threads;
  *              jobs=1 forces the serial path — output is identical)
  *   progress=1 log per-job completion lines to stderr
@@ -161,7 +160,6 @@ struct BenchArgs
 {
     Config config;
     sim::SimOptions options;
-    bool csv = false;
     bool progress = false;
     unsigned jobs = 1;
     sim::ExperimentRunner runner;
@@ -200,7 +198,6 @@ struct BenchArgs
         BenchArgs args;
         args.config.parseArgs(argc, argv);
         args.options.maxInsts = args.config.getU64("insts", 500000);
-        args.csv = args.config.getBool("csv", false);
         args.progress = args.config.getBool("progress", false);
         args.jobs = args.config.getU32(
             "jobs", sim::ExperimentRunner::hardwareJobs());
@@ -407,8 +404,6 @@ inline void
 printTable(const Table &table, const BenchArgs &args)
 {
     std::fputs(table.render().c_str(), stdout);
-    if (args.csv)
-        std::fputs(table.renderCsv().c_str(), stdout);
     std::fputs("\n", stdout);
     args.report.addTable(table);
 }

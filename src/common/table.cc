@@ -95,19 +95,4 @@ Table::render() const
     return os.str();
 }
 
-std::string
-Table::renderCsv() const
-{
-    std::ostringstream os;
-    auto emit_row = [&](const std::vector<std::string> &row) {
-        for (size_t c = 0; c < row.size(); ++c)
-            os << (c ? "," : "") << row[c];
-        os << '\n';
-    };
-    emit_row(headers_);
-    for (const auto &row : rows_)
-        emit_row(row);
-    return os.str();
-}
-
 } // namespace carf

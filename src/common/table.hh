@@ -1,6 +1,6 @@
 /**
  * @file
- * ASCII/CSV table rendering used by the benchmark harnesses to print
+ * ASCII table rendering used by the benchmark harnesses to print
  * the paper's tables and figure series in a uniform format.
  */
 
@@ -16,8 +16,7 @@ namespace carf
 /**
  * A rectangular table of string cells with a header row. Cells are
  * typically produced via the addRow(...) overloads that format
- * numeric values; render() aligns columns for terminal output and
- * renderCsv() emits machine-readable output.
+ * numeric values; render() aligns columns for terminal output.
  */
 class Table
 {
@@ -33,7 +32,6 @@ class Table
     static std::string intNum(long long v);
 
     std::string render() const;
-    std::string renderCsv() const;
 
     size_t rowCount() const { return rows_.size(); }
     size_t columnCount() const { return headers_.size(); }

@@ -347,18 +347,15 @@ Pipeline::tryWriteback(Thread &thread, unsigned tid, InFlightInst &inst,
         // every stalled head wants the grant; at most one per cycle
         // goes to the first in rotating thread order, and the
         // rotation guarantees every head periodically walks first.
-        // (A one-thread core takes its Long counters from the model.)
         bool at_head = &inst == &thread.rob.head();
-        if constexpr (Smt)
-            ++thread.result.longAllocStalls;
+        ++thread.result.longAllocStalls;
         if (at_head && !force_grant_used) {
             force_grant_used = true;
             access =
                 intRf_->writeForced(inst.destTag, inst.op.rdValue, tid);
-            if constexpr (Smt) {
-                ++thread.result.recoveries;
+            ++thread.result.recoveries;
+            if constexpr (Smt)
                 thread.headStallWait = 0;
-            }
         } else {
             if (Smt && at_head) {
                 ++thread.headStallWait;
@@ -1032,10 +1029,9 @@ Pipeline::finishWarmUp(const WarmupScratch &scratch)
     installWarmState(scratch);
     intRf_->clearAccessCounts();
     fpRf_->clearAccessCounts();
-    // finishRun() reports the model's counters from here on: Short
-    // placements and Long stalls of the fast-forward stay out of the
-    // timed result.
-    rfStatsBase_ = intRf_->stats();
+    // finishRun() reports Short placements from here on: those of the
+    // fast-forward stay out of the timed result.
+    shortAllocBase_ = intRf_->stats().shortAllocWrites;
     threads_[0].result = RunResult{};
     committedTotal_ = 0;
 }
@@ -1360,18 +1356,12 @@ Pipeline::finishRun()
         r.avgLiveShort = liveShort_.mean();
     }
     // Shared-file access counts and allocation/port totals land on
-    // thread 0's record (and thus on an SMT aggregate). A one-thread
-    // core takes its Long counters from the model; with more threads
-    // they stay the per-thread attributions made at writeback.
+    // thread 0's record (and thus on an SMT aggregate); Long stalls
+    // and recoveries stay the per-thread counts made at writeback.
     RunResult &result = threads_[0].result;
-    regfile::RegisterFile::Stats rf = intRf_->stats();
     result.intRfAccesses = intRf_->accessCounts();
     result.shortFileWrites =
-        rf.shortAllocWrites - rfStatsBase_.shortAllocWrites;
-    if (numThreads_ == 1) {
-        result.longAllocStalls = rf.writeStalls - rfStatsBase_.writeStalls;
-        result.recoveries = rf.recoveries - rfStatsBase_.recoveries;
-    }
+        intRf_->stats().shortAllocWrites - shortAllocBase_;
     result.portConflictOps = portConflictOps_;
     result.portConflictCycles = portConflictCycles_;
     observer_ = nullptr;

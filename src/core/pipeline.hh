@@ -395,7 +395,7 @@ class Pipeline
     /**
      * One cycle of every stage. Smt = false is the one-thread
      * instantiation: the thread loops collapse to thread 0 and the
-     * SMT-only bookkeeping (ICOUNT counts, per-thread Long counters)
+     * SMT-only bookkeeping (ICOUNT counts, head-stall streaks)
      * compiles away.
      */
     template <bool Smt>
@@ -514,8 +514,8 @@ class Pipeline
     /** Issue refusals for lack of the model's pool ports, and cycles. */
     u64 portConflictOps_ = 0;
     u64 portConflictCycles_ = 0;
-    /** The model's counters at finishWarmUp() (finishRun deltas). */
-    regfile::RegisterFile::Stats rfStatsBase_;
+    /** The model's Short allocations at finishWarmUp() (finishRun delta). */
+    u64 shortAllocBase_ = 0;
     CycleObserver *observer_ = nullptr;
 };
 

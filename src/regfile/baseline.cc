@@ -77,13 +77,6 @@ BaselineRegFile::BaselineRegFile(std::string name, unsigned entries,
     readPortPool_ = read_port_pool;
 }
 
-void
-BaselineRegFile::reset()
-{
-    RegisterFile::reset();
-    file_.assign(entries_, Entry{});
-}
-
 ReadAccess
 BaselineRegFile::read(u32 tag)
 {

@@ -60,7 +60,6 @@ class BaselineRegFile : public RegisterFile
     BaselineRegFile(std::string name, unsigned entries,
                     unsigned read_port_pool = 0);
 
-    void reset() override;
     ReadAccess read(u32 tag) final;
     void release(u32 tag) final;
     Peek peek(u32 tag) const final;

@@ -122,30 +122,11 @@ ContentAwareRegFile::ContentAwareRegFile(std::string name, unsigned entries,
 {
     params_.validate();
     valueTaxonomy_ = true;
-    clearStructures();
-}
-
-void
-ContentAwareRegFile::clearStructures()
-{
-    freeLong_.clear();
     for (u32 i = 0; i < params_.longEntries; ++i)
         freeLong_.push_back(params_.longEntries - 1 - i);
     shortOwner_.assign(params_.sim.shortEntries(), 0);
     sharing_.shortHits.assign(threads_, 0);
     sharing_.crossShortHits.assign(threads_, 0);
-}
-
-void
-ContentAwareRegFile::reset()
-{
-    RegisterFile::reset();
-    shortFile_ = ShortFile(params_.sim, params_.associativeShort);
-    file_.assign(entries_, Entry{});
-    longFile_.assign(params_.longEntries, 0);
-    longAllocStalls_ = 0;
-    recoveries_ = 0;
-    clearStructures();
 }
 
 u64
@@ -224,14 +205,12 @@ ContentAwareRegFile::doWrite(u32 tag, u64 value, unsigned tid, bool forced)
       case ValueType::Long: {
         if (freeLong_.empty()) {
             if (!forced) {
-                ++longAllocStalls_;
                 access.stalled = true;
                 return access;
             }
             // Pseudo-deadlock recovery: grow an emergency overflow
             // entry. Real hardware stalls and drains; the overflow
             // entry stands in for the entry freed by that drain.
-            ++recoveries_;
             freeLong_.push_back(static_cast<u32>(longFile_.size()));
             longFile_.push_back(0);
         }
@@ -408,19 +387,6 @@ ContentAwareRegFile::checkInvariants() const
     return "";
 }
 
-RegisterFile::StructureCounts
-ContentAwareRegFile::structureCounts() const
-{
-    StructureCounts sc;
-    sc.shortRefCounts.reserve(shortFile_.entries());
-    for (unsigned i = 0; i < shortFile_.entries(); ++i)
-        sc.shortRefCounts.push_back(shortFile_.refCount(i));
-    sc.freeLong = freeLongEntries();
-    sc.liveLong = liveLongEntries();
-    sc.hasLongFile = true;
-    return sc;
-}
-
 RegisterFile::Peek
 ContentAwareRegFile::peek(u32 tag) const
 {
@@ -431,8 +397,7 @@ ContentAwareRegFile::peek(u32 tag) const
 RegisterFile::Stats
 ContentAwareRegFile::stats() const
 {
-    return {shortFile_.allocations(), longAllocStalls_, recoveries_,
-            sharing_};
+    return {shortFile_.allocations(), sharing_};
 }
 
 } // namespace carf::regfile

@@ -60,7 +60,6 @@ class ContentAwareRegFile : public RegisterFile
                         const ContentAwareParams &params,
                         unsigned threads = 1);
 
-    void reset() override;
     ReadAccess read(u32 tag) override;
     void release(u32 tag) override;
     bool shouldStallIssue() const override;
@@ -116,21 +115,16 @@ class ContentAwareRegFile : public RegisterFile
      */
     std::string checkInvariants() const override;
 
-    StructureCounts structureCounts() const override;
-
-    /** Leak a Short slot reference keyed by @p selector (tests only). */
-    void debugInjectFault(u64 selector) override
+    /**
+     * Fault injection for harness self-tests ONLY: leak a reference to
+     * the Short slot keyed by @p selector so a test can prove the
+     * invariant checks catch it. Never call from model code.
+     */
+    void debugInjectFault(u64 selector)
     {
         shortFile_.addRef(static_cast<unsigned>(
             selector % params_.sim.shortEntries()));
     }
-
-    /**
-     * Mutable Short-file access for fault-injection tests ONLY: lets a
-     * harness corrupt reference counts to prove the invariant checks
-     * catch it. Never call from model code.
-     */
-    ShortFile &debugShortFile() { return shortFile_; }
 
   protected:
     /**
@@ -158,8 +152,6 @@ class ContentAwareRegFile : public RegisterFile
     u64 reconstruct(const Entry &entry) const;
     /** The thread a write or placement is attributed to. */
     unsigned thread(unsigned tid) const { return tid < threads_ ? tid : 0; }
-    /** Size the Long free list and the sharing counters afresh. */
-    void clearStructures();
 
     ContentAwareParams params_;
     ShortFile shortFile_;
@@ -167,11 +159,6 @@ class ContentAwareRegFile : public RegisterFile
     /** Long entry values, indexed by long index (may grow on recovery). */
     std::vector<u64> longFile_;
     std::vector<u32> freeLong_;
-
-    /** Writebacks delayed by Long file exhaustion. */
-    u64 longAllocStalls_ = 0;
-    /** Pseudo-deadlock recoveries (forced Long allocations). */
-    u64 recoveries_ = 0;
 
     /** SMT sharing accounting over the construction-time threads. */
     unsigned threads_;

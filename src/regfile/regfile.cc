@@ -10,12 +10,6 @@ RegisterFile::RegisterFile(std::string name, unsigned entries)
 {
 }
 
-void
-RegisterFile::reset()
-{
-    counts_ = AccessCounts{};
-}
-
 ValueType
 RegisterFile::classifyPeek(u64 value) const
 {

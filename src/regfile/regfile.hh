@@ -1,6 +1,6 @@
 /**
  * @file
- * Abstract integer physical register file model (the RegFileModel
+ * Abstract integer physical register file model (the RegisterFile
  * contract).
  *
  * The out-of-order core interacts with the register file through this
@@ -8,31 +8,32 @@
  * the model tracks per-tag contents, classifies values, arbitrates
  * internal structures, and counts accesses for the energy model.
  *
- * Every virtual hook is one the core (or the fuzzer) calls for a
- * reason it cannot compute itself. The groups:
+ * Every virtual hook is one a simulation calls for a reason the core
+ * cannot compute itself; there are eleven, in five groups:
  *
- *  - **data path**: read() / release() / reset(), and one protected
- *    doWrite() behind write() and writeForced(); doNoteAddress()
- *    behind noteAddress(). The hardware thread is an argument (tid),
- *    and the thread count a construction parameter
- *    (RegFileParams::threads);
+ *  - **data path**: read() / release(), and one protected doWrite()
+ *    behind write() and writeForced(); doNoteAddress() behind
+ *    noteAddress(). The hardware thread is an argument (tid), and the
+ *    thread count a construction parameter (RegFileParams::threads);
  *  - **core-facing policy**: shouldStallIssue() (read by issue after
  *    that cycle's commit and writeback) and onRobInterval();
  *  - **classification**: classifyPeek(), called once per integer
  *    source at issue for the operand-mix and clustering statistics;
  *  - **snapshots**: peek() for one tag's contents, stats() for the
  *    model's counters, occupancy() once per cycle;
- *  - **verification**: checkInvariants(), structureCounts(), and
- *    debugInjectFault() give the shadow-oracle fuzzer structural
- *    visibility into any backend through the base class alone.
+ *  - **verification**: checkInvariants(), run every cycle under the
+ *    pipeline's debug gate.
+ *
+ * Long-file stalls and recoveries are the core's counts, made at
+ * writeback from WriteAccess::stalled; the model keeps no copy.
  *
  * Two traits are fixed at construction and read without a virtual
  * call: readPortPool() (a shared read-port pool the core arbitrates,
  * for port-reduction backends) and hasValueTaxonomy().
  *
  * Every hook but read(), release(), doWrite() and peek() has a
- * default, so a minimal backend implements just those four and
- * extends reset() to clear its contents. Concrete backends are
+ * default, so a minimal backend implements just those four. A model
+ * is never reset: each run builds a fresh one. Concrete backends are
  * instantiated by name through the factory in regfile/registry.hh.
  * Storage geometry (banks, energy accounting, description) is not a
  * hook: it is a static function of the parameters, carried by the
@@ -97,9 +98,6 @@ class RegisterFile
     const std::string &name() const { return name_; }
 
     // --- data path ---
-
-    /** Reset all content state and statistics. */
-    virtual void reset();
 
     /** Read the value held by @p tag (counts one access). */
     virtual ReadAccess read(u32 tag) = 0;
@@ -215,15 +213,11 @@ class RegisterFile
         }
     };
 
-    /** Model counters since construction or reset(). */
+    /** Model counters since construction. */
     struct Stats
     {
         /** Internal allocation writes surfaced as short_file_writes. */
         u64 shortAllocWrites = 0;
-        /** Writebacks delayed waiting for an internal allocation. */
-        u64 writeStalls = 0;
-        /** Forced-write recoveries (§3.2 pseudo-deadlock). */
-        u64 recoveries = 0;
         SharingStats sharing;
     };
     virtual Stats stats() const { return {}; }
@@ -236,7 +230,7 @@ class RegisterFile
     };
     virtual Occupancy occupancy() const { return {}; }
 
-    // --- verification (shadow-oracle fuzzer) ---
+    // --- verification ---
 
     /**
      * Structural self-check (debug/testing): empty string when every
@@ -245,30 +239,6 @@ class RegisterFile
      * violate.
      */
     virtual std::string checkInvariants() const { return ""; }
-
-    /**
-     * Expected sub-structure occupancy for double-entry verification:
-     * per-Short-slot reference counts and Long free-list state. The
-     * shadow oracle sizes and cross-checks its books from this alone,
-     * so any backend is fuzzable without casts. Default: no
-     * sub-structures.
-     */
-    struct StructureCounts
-    {
-        std::vector<unsigned> shortRefCounts;
-        unsigned freeLong = 0;
-        unsigned liveLong = 0;
-        bool hasLongFile = false;
-    };
-    virtual StructureCounts structureCounts() const { return {}; }
-
-    /**
-     * Fault injection for harness self-tests ONLY: corrupt internal
-     * state keyed by @p selector (e.g. leak a Short reference) so a
-     * test can prove the invariant checks catch it. No-op for models
-     * without corruptible sub-structures; never call from model code.
-     */
-    virtual void debugInjectFault(u64 selector) { (void)selector; }
 
     const AccessCounts &accessCounts() const { return counts_; }
     /** Zero the access counters (e.g.\ after warm-up writes). */
@@ -301,12 +271,6 @@ class RegisterFile
     bool valueTaxonomy_ = false;
     AccessCounts counts_;
 };
-
-/**
- * The register-file contract by its interface name: every backend in
- * the registry is a RegFileModel.
- */
-using RegFileModel = RegisterFile;
 
 } // namespace carf::regfile
 

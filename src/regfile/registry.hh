@@ -2,7 +2,7 @@
  * @file
  * String-keyed factory registry for register-file backends.
  *
- * Every RegFileModel implementation registers itself under a stable
+ * Every RegisterFile implementation registers itself under a stable
  * name ("baseline", "content-aware", "port-reduction", ...); the core
  * instantiates whatever name its parameters carry, so adding a new
  * organization touches no pipeline code, no bench driver, and no

@@ -38,13 +38,13 @@ enum class FuzzOpKind : u8
     NoteAddress,
     /** onRobInterval(): Tcur/Told epoch tick. */
     RobInterval,
-    /** reset() of both implementation and oracle. */
+    /** Continue on a fresh implementation and a fresh oracle. */
     Reset,
     /**
-     * Fault injection: debugInjectFault(value) on the model (e.g. a
-     * leaked Short-file reference), bypassing the oracle. Only emitted
-     * by tests that prove the harness catches internal-state
-     * corruption; never generated.
+     * Fault injection: ContentAwareRegFile::debugInjectFault(value)
+     * leaks a Short-file reference, bypassing the oracle; a no-op on
+     * flat backends. Only emitted by tests that prove the harness
+     * catches internal-state corruption; never generated.
      */
     InjectShortRefLeak,
 };

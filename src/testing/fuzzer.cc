@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "regfile/content_aware.hh"
 
 namespace carf::testing
 {
@@ -12,18 +13,25 @@ using regfile::ValueType;
 namespace
 {
 
+/** The content-aware file behind @p file, or null for a flat backend. */
+regfile::ContentAwareRegFile *
+contentAware(regfile::RegisterFile &file)
+{
+    return dynamic_cast<regfile::ContentAwareRegFile *>(&file);
+}
+
 /**
- * Size the oracle's books from a *fresh* model's structureCounts():
- * the Short file has one slot per reported refcount, and every real
- * Long entry of an unused file is free, so freeLong is K.
+ * Size the oracle's books from a *fresh* model: M Short slots and K
+ * free Long entries for the content-aware file (every real Long entry
+ * of an unused file is free), none for a flat backend.
  */
 ShadowRegFile
-makeShadow(const regfile::RegisterFile &file, unsigned entries)
+makeShadow(regfile::RegisterFile &file, unsigned entries)
 {
-    regfile::RegisterFile::StructureCounts sc = file.structureCounts();
-    return ShadowRegFile(
-        entries, static_cast<unsigned>(sc.shortRefCounts.size()),
-        sc.freeLong);
+    regfile::ContentAwareRegFile *ca = contentAware(file);
+    return ca ? ShadowRegFile(entries, ca->shortFile().entries(),
+                              ca->freeLongEntries())
+              : ShadowRegFile(entries, 0, 0);
 }
 
 } // namespace
@@ -84,13 +92,15 @@ FuzzHarness::step(const FuzzOp &op)
         file_->onRobInterval();
         break;
       case FuzzOpKind::Reset:
-        file_->reset();
-        shadow_.reset();
+        file_ = config_.makeFile("fuzz");
+        shadow_ = makeShadow(*file_, config_.entries);
         break;
       case FuzzOpKind::InjectShortRefLeak:
         // Deliberate corruption, invisible to the oracle: the next
-        // check must report the reference-count divergence.
-        file_->debugInjectFault(op.value);
+        // check must report the reference-count divergence. Flat
+        // backends have no Short file to corrupt.
+        if (regfile::ContentAwareRegFile *ca = contentAware(*file_))
+            ca->debugInjectFault(op.value);
         break;
     }
 

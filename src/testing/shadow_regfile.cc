@@ -1,6 +1,7 @@
 #include "testing/shadow_regfile.hh"
 
 #include "common/logging.hh"
+#include "regfile/content_aware.hh"
 
 namespace carf::testing
 {
@@ -12,14 +13,6 @@ ShadowRegFile::ShadowRegFile(unsigned entries, unsigned short_entries,
     : regs_(entries), shortRefs_(short_entries, 0),
       longEntries_(long_entries), freeLong_(long_entries)
 {
-}
-
-void
-ShadowRegFile::reset()
-{
-    regs_.assign(regs_.size(), Reg{});
-    shortRefs_.assign(shortRefs_.size(), 0);
-    freeLong_ = longEntries_;
 }
 
 void
@@ -89,24 +82,25 @@ ShadowRegFile::check(const regfile::RegisterFile &file) const
                              valueTypeName(reg.type));
     }
 
-    regfile::RegisterFile::StructureCounts sc = file.structureCounts();
-    if (sc.shortRefCounts.size() != shortRefs_.size())
-        return strprintf("Short file: impl %zu slots != oracle %zu",
-                         sc.shortRefCounts.size(), shortRefs_.size());
+    auto *ca = dynamic_cast<const regfile::ContentAwareRegFile *>(&file);
+    if (!ca)
+        return "";
+    const regfile::ShortFile &short_file = ca->shortFile();
+    if (short_file.entries() != shortRefs_.size())
+        return strprintf("Short file: impl %u slots != oracle %zu",
+                         short_file.entries(), shortRefs_.size());
     for (unsigned i = 0; i < shortRefs_.size(); ++i) {
-        if (sc.shortRefCounts[i] != shortRefs_[i])
+        if (short_file.refCount(i) != shortRefs_[i])
             return strprintf("Short slot %u: impl refcount %u != "
-                             "oracle %u", i, sc.shortRefCounts[i],
+                             "oracle %u", i, short_file.refCount(i),
                              shortRefs_[i]);
     }
-    if (!sc.hasLongFile)
-        return "";
-    if (sc.freeLong != freeLong_)
+    if (ca->freeLongEntries() != freeLong_)
         return strprintf("Long free list: impl %u != oracle %u",
-                         sc.freeLong, freeLong_);
-    if (sc.liveLong != liveLongEntries())
+                         ca->freeLongEntries(), freeLong_);
+    if (ca->liveLongEntries() != liveLongEntries())
         return strprintf("live Long entries: impl %u != oracle %u",
-                         sc.liveLong, liveLongEntries());
+                         ca->liveLongEntries(), liveLongEntries());
     return "";
 }
 

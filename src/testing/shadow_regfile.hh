@@ -42,8 +42,6 @@ class ShadowRegFile
     ShadowRegFile(unsigned entries, unsigned short_entries,
                   unsigned long_entries);
 
-    void reset();
-
     /**
      * Record a completed (non-stalled) write. @p type and @p sub_index
      * are the implementation's placement decision; the oracle's
@@ -69,11 +67,11 @@ class ShadowRegFile
 
     /**
      * Cross-check @p file against the oracle: per-tag liveness, type,
-     * and bit-exact value, plus — through the model's
-     * structureCounts() hook, with no knowledge of the concrete
-     * backend — Short reference counts and Long free-list occupancy.
-     * Returns an empty string when everything matches, else a
-     * description of the first divergence.
+     * and bit-exact value through peek() on any backend, plus, when
+     * @p file is the content-aware file (the one backend with
+     * sub-files), Short reference counts and Long free-list
+     * occupancy. Returns an empty string when everything matches,
+     * else a description of the first divergence.
      */
     std::string check(const regfile::RegisterFile &file) const;
 

@@ -151,14 +151,6 @@ TEST(Table, RenderAlignsColumns)
     EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 5);
 }
 
-TEST(Table, CsvOutput)
-{
-    Table t;
-    t.setColumns({"x", "y"});
-    t.addRow({"1", "2"});
-    EXPECT_EQ(t.renderCsv(), "x,y\n1,2\n");
-}
-
 TEST(Table, CellAccess)
 {
     Table t;

@@ -304,8 +304,9 @@ TEST(BoundedFuzz, ExercisesAllValueTypes)
     FuzzGenOptions options;
     options.ops = 10000;
     FuzzCase fuzz_case{config, generateOps(config, rng, options)};
-    // reset() zeroes the access counters; drop resets so the counts
-    // cover the whole run (any subsequence is executable).
+    // A reset continues on a fresh file with zeroed access counters;
+    // drop resets so the counts cover the whole run (any subsequence
+    // is executable).
     std::erase_if(fuzz_case.ops, [](const FuzzOp &op) {
         return op.kind == FuzzOpKind::Reset;
     });

@@ -161,7 +161,8 @@ TEST(ContentAware, LongExhaustionStallsWrite)
     auto access = rf.write(2, rng.next() | (1ull << 63));
     EXPECT_TRUE(access.stalled);
     EXPECT_FALSE(rf.peek(2).live);
-    EXPECT_EQ(rf.stats().writeStalls, 1u);
+    // A plain write stalls; only a forced one grows the overflow pool.
+    EXPECT_EQ(rf.overflowLongEntries(), 0u);
 
     // Releasing a long frees an entry; the retry succeeds.
     rf.release(0);
@@ -177,9 +178,10 @@ TEST(ContentAware, ForcedRecoveryOverflowsAndRetires)
     p.issueStallThreshold = 0;
     ContentAwareRegFile rf("t", 16, p);
     rf.write(0, 0x1111111111111111ull);
+    EXPECT_TRUE(rf.write(1, 0x2222222222222222ull).stalled);
     auto access = rf.writeForced(1, 0x2222222222222222ull);
     EXPECT_FALSE(access.stalled);
-    EXPECT_EQ(rf.stats().recoveries, 1u);
+    EXPECT_EQ(rf.overflowLongEntries(), 1u);
     EXPECT_EQ(rf.read(1).value, 0x2222222222222222ull);
     // Overflow entries retire on release instead of joining the free
     // list, so capacity is not silently inflated.
@@ -187,31 +189,6 @@ TEST(ContentAware, ForcedRecoveryOverflowsAndRetires)
     EXPECT_EQ(rf.freeLongEntries(), 0u);
     rf.release(0);
     EXPECT_EQ(rf.freeLongEntries(), 1u);
-}
-
-TEST(ContentAware, ResetZeroesStallAndRecoveryCounts)
-{
-    ContentAwareParams p = paperParams();
-    p.longEntries = 1;
-    p.issueStallThreshold = 0;
-    ContentAwareRegFile rf("t", 16, p);
-    rf.write(0, 0x1111111111111111ull);
-    EXPECT_TRUE(rf.write(1, 0x2222222222222222ull).stalled);
-    EXPECT_FALSE(rf.writeForced(1, 0x2222222222222222ull).stalled);
-    EXPECT_EQ(rf.stats().writeStalls, 1u);
-    EXPECT_EQ(rf.stats().recoveries, 1u);
-
-    rf.reset();
-    EXPECT_EQ(rf.stats().writeStalls, 0u);
-    EXPECT_EQ(rf.stats().recoveries, 0u);
-    EXPECT_EQ(rf.freeLongEntries(), 1u);
-    EXPECT_EQ(rf.checkInvariants(), "");
-
-    // The counts start over from zero.
-    rf.write(2, 0x3333333333333333ull);
-    EXPECT_TRUE(rf.write(3, 0x4444444444444444ull).stalled);
-    EXPECT_EQ(rf.stats().writeStalls, 1u);
-    EXPECT_EQ(rf.stats().recoveries, 0u);
 }
 
 TEST(ContentAware, IssueStallThreshold)
@@ -279,9 +256,9 @@ TEST(ContentAware, ClassifyPeekHasNoSideEffectsOnShortFile)
 
 /**
  * §3.2 recovery path, directly: repeated writeForced under Long-file
- * exhaustion must grow the emergency overflow pool, count a recovery
- * each time, and leave freeLongEntries()/liveLongEntries() consistent
- * once everything is released.
+ * exhaustion must grow the emergency overflow pool by one entry each
+ * time, and leave freeLongEntries()/liveLongEntries() consistent once
+ * everything is released.
  */
 TEST(ContentAware, RecoveryGrowsOverflowPoolAndStaysConsistent)
 {
@@ -301,7 +278,6 @@ TEST(ContentAware, RecoveryGrowsOverflowPoolAndStaysConsistent)
         auto access = rf.writeForced(2 + i, value);
         EXPECT_FALSE(access.stalled);
         EXPECT_EQ(access.type, ValueType::Long);
-        EXPECT_EQ(rf.stats().recoveries, i + 1);
         EXPECT_EQ(rf.overflowLongEntries(), i + 1);
         EXPECT_EQ(rf.read(2 + i).value, value);
         EXPECT_EQ(rf.checkInvariants(), "");
@@ -313,7 +289,6 @@ TEST(ContentAware, RecoveryGrowsOverflowPoolAndStaysConsistent)
     EXPECT_EQ(rf.freeLongEntries(), 1u);
     auto access = rf.writeForced(9, 0x4444444444444444ull);
     EXPECT_FALSE(access.stalled);
-    EXPECT_EQ(rf.stats().recoveries, 3u);
     EXPECT_EQ(rf.overflowLongEntries(), 3u);
 
     // Releasing everything retires the overflow entries permanently
@@ -337,7 +312,7 @@ TEST(ContentAware, CheckInvariantsCatchesRefcountCorruption)
 
     // A leaked reference (e.g.\ a missed dropRef elsewhere) breaks
     // the slot's books.
-    rf.debugShortFile().addRef(rf.peek(0).subIndex);
+    rf.debugInjectFault(rf.peek(0).subIndex);
     std::string err = rf.checkInvariants();
     EXPECT_NE(err.find("refcount"), std::string::npos) << err;
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the register-file backend registry and the RegFileModel
+ * Tests for the register-file backend registry and the RegisterFile
  * hook contract: built-in registration, factory construction, fatal
  * diagnostics for unknown/duplicate names, external self-registration
  * through RegFileRegistrar (with the flat default geometry), the
@@ -116,8 +116,7 @@ namespace
 
 /**
  * A minimal out-of-tree model: a flat file written against the bare
- * contract, implementing the four hooks without a default and
- * extending reset() to clear its contents.
+ * contract, implementing the four hooks without a default.
  */
 class TestZooRegFile : public regfile::RegisterFile
 {
@@ -127,11 +126,6 @@ class TestZooRegFile : public regfile::RegisterFile
     {
     }
 
-    void reset() override
-    {
-        RegisterFile::reset();
-        file_.assign(entries_, Peek{});
-    }
     regfile::ReadAccess read(u32 tag) override
     {
         countRead(file_.at(tag).type);

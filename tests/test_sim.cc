@@ -315,4 +315,58 @@ TEST(Reporting, SuiteTableHasRowPerWorkload)
     EXPECT_EQ(table.cell(1, 0), "rle");
 }
 
+// --- Long-file pressure (§3.2), counted at writeback ---
+
+namespace
+{
+
+/** crc on a 12-entry Long file: the paper's d+n=20, M=8 otherwise. */
+core::RunResult
+crcOnTwelveLongs(SimOptions options, unsigned threads = 1)
+{
+    core::CoreParams params = core::CoreParams::contentAware(20, 3, 12);
+    params.smtThreads = threads;
+    return simulate(workloads::findWorkload("crc"), params, options);
+}
+
+} // namespace
+
+TEST(ContentAwarePressure, SoloCountsPinned)
+{
+    auto result = crcOnTwelveLongs(quick(60000));
+    EXPECT_EQ(result.longAllocStalls, 25399u);
+    EXPECT_EQ(result.recoveries, 25398u);
+}
+
+TEST(ContentAwarePressure, FastForwardCountsOnlyTheTimedWindow)
+{
+    SimOptions options = quick(40000);
+    options.fastForward = 20000;
+    auto result = crcOnTwelveLongs(options);
+    EXPECT_EQ(result.longAllocStalls, 10225u);
+    EXPECT_EQ(result.recoveries, 10225u);
+}
+
+TEST(ContentAwarePressure, TwoThreadCountsPinned)
+{
+    auto result = crcOnTwelveLongs(quick(30000), 2);
+    EXPECT_EQ(result.longAllocStalls, 25492u);
+    EXPECT_EQ(result.recoveries, 25477u);
+}
+
+TEST(ContentAwarePressure, SampledCountsOnlyDetailedWritebacks)
+{
+    // Between episodes the sampler writes the fast-forwarded
+    // architectural values back into the file; on a Long file this
+    // small those writes stall and recover too, but they are not
+    // timed-window pressure and stay out of the counts.
+    SimOptions options = quick(60000);
+    options.samplingPeriod = 5000;
+    options.samplingWarmup = 1000;
+    options.samplingMeasure = 1000;
+    auto result = crcOnTwelveLongs(options);
+    EXPECT_EQ(result.longAllocStalls, 6146u);
+    EXPECT_EQ(result.recoveries, 6146u);
+}
+
 } // namespace carf::sim
