@@ -52,8 +52,8 @@ Emulator::setIntReg(unsigned idx, u64 value)
         intRegs_[idx] = value;
 }
 
-bool
-Emulator::next(DynOp &out)
+inline bool
+Emulator::emit(DynOp &out)
 {
     if (halted_ || executed_ >= maxInsts_) {
         halted_ = true;
@@ -72,13 +72,28 @@ Emulator::next(DynOp &out)
     return true;
 }
 
+bool
+Emulator::next(DynOp &out)
+{
+    return emit(out);
+}
+
+size_t
+Emulator::fill(std::span<DynOp> out)
+{
+    size_t n = 0;
+    while (n < out.size() && emit(out[n]))
+        ++n;
+    return n;
+}
+
 void
 Emulator::step(DynOp &out)
 {
-    const isa::Instruction &inst = program_.at(pc_);
+    // emit() has checked pc_ against the program's end.
+    const isa::Instruction &inst = program_.code()[pc_];
     const isa::OpInfo &info = inst.info();
 
-    out = DynOp{};
     out.seq = executed_;
     out.pc = pc_;
     out.op = inst.op;
@@ -102,6 +117,9 @@ Emulator::step(DynOp &out)
     u64 imm = static_cast<u64>(inst.imm);
     u64 next_pc = pc_ + 1;
     u64 result = 0;
+    u64 rd_value = 0;
+    Addr eff_addr = 0;
+    bool taken = false;
     bool has_result = info.rdClass != isa::RegClass::None;
 
     switch (inst.op) {
@@ -147,43 +165,43 @@ Emulator::step(DynOp &out)
       case Opcode::LD:
       case Opcode::LW:
       case Opcode::LB: {
-        out.effAddr = s1 + imm;
-        u64 raw = memory_.read(out.effAddr, info.memBytes);
+        eff_addr = s1 + imm;
+        u64 raw = memory_.read(eff_addr, info.memBytes);
         result = info.memBytes == 8
                      ? raw
                      : signExtend(raw, info.memBytes * 8);
         break;
       }
       case Opcode::FLD:
-        out.effAddr = s1 + imm;
-        result = memory_.read(out.effAddr, 8);
+        eff_addr = s1 + imm;
+        result = memory_.read(eff_addr, 8);
         break;
       case Opcode::ST:
       case Opcode::SW:
       case Opcode::SB:
       case Opcode::FST:
-        out.effAddr = s1 + imm;
-        memory_.write(out.effAddr, s2, info.memBytes);
+        eff_addr = s1 + imm;
+        memory_.write(eff_addr, s2, info.memBytes);
         break;
 
-      case Opcode::BEQ: out.taken = s1 == s2; break;
-      case Opcode::BNE: out.taken = s1 != s2; break;
+      case Opcode::BEQ: taken = s1 == s2; break;
+      case Opcode::BNE: taken = s1 != s2; break;
       case Opcode::BLT:
-        out.taken = static_cast<i64>(s1) < static_cast<i64>(s2);
+        taken = static_cast<i64>(s1) < static_cast<i64>(s2);
         break;
       case Opcode::BGE:
-        out.taken = static_cast<i64>(s1) >= static_cast<i64>(s2);
+        taken = static_cast<i64>(s1) >= static_cast<i64>(s2);
         break;
-      case Opcode::BLTU: out.taken = s1 < s2; break;
-      case Opcode::BGEU: out.taken = s1 >= s2; break;
+      case Opcode::BLTU: taken = s1 < s2; break;
+      case Opcode::BGEU: taken = s1 >= s2; break;
 
       case Opcode::JAL:
-        out.taken = true;
+        taken = true;
         result = pc_ + 1;
         next_pc = imm;
         break;
       case Opcode::JALR:
-        out.taken = true;
+        taken = true;
         result = pc_ + 1;
         next_pc = s1 + imm;
         break;
@@ -222,19 +240,22 @@ Emulator::step(DynOp &out)
               static_cast<unsigned>(inst.op));
     }
 
-    if (isa::isConditionalBranch(inst.op) && out.taken)
+    if (isa::isConditionalBranch(inst.op) && taken)
         next_pc = imm;
 
     if (has_result) {
         if (info.rdClass == isa::RegClass::Int) {
             setIntReg(inst.rd, result);
-            out.rdValue = inst.rd == 0 ? 0 : result;
+            rd_value = inst.rd == 0 ? 0 : result;
         } else {
             fpRegs_[inst.rd] = result;
-            out.rdValue = result;
+            rd_value = result;
         }
     }
 
+    out.rdValue = rd_value;
+    out.effAddr = eff_addr;
+    out.taken = taken;
     out.nextPc = next_pc;
     pc_ = next_pc;
 }

@@ -35,6 +35,7 @@ class Emulator : public TraceSource
              u64 max_insts = ~u64{0});
 
     bool next(DynOp &out) override;
+    size_t fill(std::span<DynOp> out) override;
     std::string name() const override { return name_; }
 
     /** True once HALT executed or the budget is exhausted. */
@@ -50,7 +51,10 @@ class Emulator : public TraceSource
     const MemoryImage &memory() const { return memory_; }
 
   private:
-    /** Execute the instruction at pc_, filling @p out. */
+    /** next() without the virtual call: the loop body of fill(). */
+    bool emit(DynOp &out);
+
+    /** Execute the instruction at pc_, writing every field of @p out. */
     void step(DynOp &out);
 
     void setIntReg(unsigned idx, u64 value);

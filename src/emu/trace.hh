@@ -9,6 +9,7 @@
 #define CARF_EMU_TRACE_HH
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -72,18 +73,29 @@ class TraceSource
      */
     virtual bool next(DynOp &out) = 0;
 
+    /**
+     * Produce the next out.size() records into @p out, in place: the
+     * block path for consumers that take records in bulk. The records
+     * are the ones next() would have produced.
+     * @return the records written; fewer than out.size() only when
+     *         next() would have returned false.
+     */
+    virtual size_t fill(std::span<DynOp> out);
+
     /** Human-readable source name for reports. */
     virtual std::string name() const = 0;
 };
 
 /**
- * Streaming delivery with a host-time meter. Records are pulled from
- * the inner source (the emulator) a block of blockRecords at a time;
- * the clock is read once before and once after each fill, and the
- * block is then handed out record by record. The meter therefore
- * costs two clock reads per block rather than two per record, and
- * the read-ahead is invisible downstream: the inner source is
- * deterministic and keeps its own budget cap.
+ * Streaming delivery with a host-time meter: a clock around the inner
+ * source's fill(). next() pulls blockRecords records at a time into
+ * its own block and hands them out one by one; fill() first hands out
+ * what next() read ahead, then fills the rest of the caller's span
+ * straight from the inner source. The clock is read once before and
+ * once after each inner fill, so the meter costs two clock reads per
+ * block rather than two per record, and the read-ahead is invisible
+ * downstream: the inner source is deterministic and keeps its own
+ * budget cap.
  */
 class MeteredSource final : public TraceSource
 {
@@ -102,6 +114,8 @@ class MeteredSource final : public TraceSource
         return true;
     }
 
+    size_t fill(std::span<DynOp> out) override;
+
     std::string name() const override { return inner_->name(); }
 
     /** Host seconds spent inside the inner source so far. */
@@ -110,6 +124,9 @@ class MeteredSource final : public TraceSource
   private:
     /** Fill the block from the inner source; false once it is dry. */
     bool refill();
+    /** One clocked inner fill into @p out; marks the source drained
+     *  when it comes back short. */
+    size_t timedFill(std::span<DynOp> out);
 
     std::unique_ptr<TraceSource> inner_;
     std::vector<DynOp> block_;

@@ -192,13 +192,17 @@ TraceBuffer::build(TraceSource &source, std::string name, u64 max_insts,
     buffer->control_.reserve(
         std::min({max_insts, u64{1} << 22, byte_budget}));
     Encoder encoder(*buffer);
-    DynOp op;
-    for (u64 i = 0; i < max_insts && source.next(op); ++i) {
-        encoder.append(op);
-        if ((i + 1) % MeteredSource::blockRecords == 0 &&
-            buffer->encodedBytes() > byte_budget) {
+    std::vector<DynOp> block(MeteredSource::blockRecords);
+    for (u64 done = 0; done < max_insts;) {
+        size_t want = std::min<u64>(block.size(), max_insts - done);
+        size_t got = source.fill(std::span(block).first(want));
+        for (size_t i = 0; i < got; ++i)
+            encoder.append(block[i]);
+        done += got;
+        if (got < want)
+            break;
+        if (got == block.size() && buffer->encodedBytes() > byte_budget)
             return nullptr;
-        }
     }
     buffer->control_.shrink_to_fit();
     buffer->decode_.shrink_to_fit();
@@ -342,8 +346,8 @@ TraceBuffer::Cursor::Cursor(const TraceBuffer &buffer, u64 max_insts)
 {
 }
 
-bool
-TraceBuffer::Cursor::next(DynOp &out)
+inline bool
+TraceBuffer::Cursor::derive(DynOp &out)
 {
     if (pos_ >= limit_)
         return false;
@@ -395,6 +399,21 @@ TraceBuffer::Cursor::next(DynOp &out)
     pc_ = next_pc;
     regs[slots.dst] = rd_value;
     return true;
+}
+
+bool
+TraceBuffer::Cursor::next(DynOp &out)
+{
+    return derive(out);
+}
+
+size_t
+TraceBuffer::Cursor::fill(std::span<DynOp> out)
+{
+    size_t n = 0;
+    while (n < out.size() && derive(out[n]))
+        ++n;
+    return n;
 }
 
 } // namespace carf::emu

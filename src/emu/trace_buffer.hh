@@ -76,8 +76,9 @@ class TraceBuffer
      *        for; recorded so callers can tell a budget-capped buffer
      *        from one that ran to program halt
      * @param byte_budget most resident bytes the buffer may take. The
-     *        build checks its size every MeteredSource::blockRecords
-     *        records and once at the end.
+     *        build pulls blocks of MeteredSource::blockRecords records
+     *        through TraceSource::fill() and checks its size after
+     *        every full block and once at the end.
      * @retval nullptr when the encoding passes @p byte_budget; the
      *         build then stops within one block of the budget.
      */
@@ -234,9 +235,13 @@ class TraceBuffer
                         u64 max_insts = ~u64{0});
 
         bool next(DynOp &out) override;
+        size_t fill(std::span<DynOp> out) override;
         std::string name() const override { return buffer_->name(); }
 
       private:
+        /** next() without the virtual call: the loop body of fill(). */
+        bool derive(DynOp &out);
+
         const TraceBuffer *buffer_;
         u64 limit_;
         u64 pos_ = 0;

@@ -1,5 +1,6 @@
 #include "sim/simulator.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -93,7 +94,9 @@ chargeHostTime(core::RunResult &result,
  * Caps the records one sampling phase may pull from the predicted
  * stream, and remembers when the underlying stream itself ran dry
  * (the pipeline cannot distinguish a closed window from a finished
- * trace — both end the episode; the engine needs to).
+ * trace — both end the episode; the engine needs to). A window that
+ * closes exactly where the trace ends is not yet exhausted, in
+ * next() and fillWarm() alike: the next pull finds that out.
  */
 class WindowedStream final : public core::FetchStream
 {
@@ -117,6 +120,18 @@ class WindowedStream final : public core::FetchStream
         }
         --left_;
         return true;
+    }
+
+    size_t
+    fillWarm(std::span<emu::DynOp> out) override
+    {
+        if (exhausted_)
+            return 0;
+        size_t want = std::min<u64>(out.size(), left_);
+        size_t got = want ? inner_->fillWarm(out.first(want)) : 0;
+        left_ -= got;
+        exhausted_ = got < want;
+        return got;
     }
 
     std::string name() const override { return inner_->name(); }
@@ -218,19 +233,10 @@ configureTraceCache(const Config &config)
     return std::make_shared<emu::TraceCache>(budget_mb << 20);
 }
 
-namespace
-{
-
-/**
- * The SMARTS loop over one trace: alternate functional gaps with
- * detailed episodes on @p pipeline and report the measured windows
- * (see SimOptions::samplingPeriod).
- */
 core::RunResult
-runSampled(core::Pipeline &pipeline, emu::TraceSource &source,
-           const core::CoreParams &params, const SimOptions &options)
+runSampled(core::Pipeline &pipeline, core::FetchStream &predicted,
+           const SimOptions &options)
 {
-    core::PredictingFetchStream predicted(source, params);
     WindowedStream window(predicted);
 
     pipeline.beginRun(window.name());
@@ -328,8 +334,6 @@ runSampled(core::Pipeline &pipeline, emu::TraceSource &source,
     return result;
 }
 
-} // namespace
-
 core::RunResult
 simulate(const workloads::Workload &workload,
          const core::CoreParams &params, const SimOptions &options,
@@ -362,7 +366,8 @@ simulate(const workloads::Workload &workload,
     pipeline.setFastPath(options.fastPath);
     core::RunResult result;
     if (options.samplingPeriod > 0) {
-        result = runSampled(pipeline, lead, run_params, options);
+        core::PredictingFetchStream predicted(lead, run_params);
+        result = runSampled(pipeline, predicted, options);
     } else if (threads > 1) {
         std::vector<emu::TraceSource *> sources;
         for (const AcquiredTrace &trace : traces)
