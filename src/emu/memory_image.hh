@@ -28,6 +28,19 @@ class MemoryImage
     static constexpr unsigned pageShift = 12;
     static constexpr size_t pageSize = size_t{1} << pageShift;
 
+    MemoryImage() = default;
+    /** Not copyable: the page cache points into pages_. */
+    MemoryImage(const MemoryImage &) = delete;
+    MemoryImage &operator=(const MemoryImage &) = delete;
+    /** The pages and their cached pointers move; @p other is left
+     *  empty. */
+    MemoryImage(MemoryImage &&other) noexcept
+        : pages_(std::move(other.pages_)), cache_(other.cache_)
+    {
+        other.pages_.clear();
+        other.cache_ = {};
+    }
+
     u8 readU8(Addr addr) const;
     void writeU8(Addr addr, u8 value);
 
@@ -52,7 +65,26 @@ class MemoryImage
     Page &page(Addr addr);
     const Page *pageIfPresent(Addr addr) const;
 
+    /**
+     * Present pages by page number, direct-mapped, consulted before
+     * the hash map. Only pages that exist are cached, so a read of an
+     * absent page still allocates and caches nothing. Pages are never
+     * freed and live behind unique_ptrs, so a cached pointer survives
+     * a rehash and a move of the image.
+     */
+    struct CachedPage
+    {
+        /** Page number + 1; 0 marks an empty slot. */
+        u64 key = 0;
+        Page *page = nullptr;
+    };
+    static constexpr size_t kCachedPages = 64;
+
+    Page *cachedPage(u64 number) const;
+    void cachePage(u64 number, Page *page) const;
+
     std::unordered_map<u64, std::unique_ptr<Page>> pages_;
+    mutable std::array<CachedPage, kCachedPages> cache_{};
 };
 
 } // namespace carf::emu
