@@ -81,6 +81,28 @@ struct AccessCounts
 
     u64 totalReads() const { return reads[0] + reads[1] + reads[2]; }
     u64 totalWrites() const { return writes[0] + writes[1] + writes[2]; }
+
+    /** Field-wise sum and difference. */
+    AccessCounts &
+    operator+=(const AccessCounts &o)
+    {
+        for (unsigned t = 0; t < 3; ++t) {
+            reads[t] += o.reads[t];
+            writes[t] += o.writes[t];
+        }
+        shortProbeReads += o.shortProbeReads;
+        return *this;
+    }
+    AccessCounts &
+    operator-=(const AccessCounts &o)
+    {
+        for (unsigned t = 0; t < 3; ++t) {
+            reads[t] -= o.reads[t];
+            writes[t] -= o.writes[t];
+        }
+        shortProbeReads -= o.shortProbeReads;
+        return *this;
+    }
 };
 
 /**

@@ -262,6 +262,26 @@ TEST(PipelineContentAware, AccessCountsCoverCommittedWriters)
                 20000.0 * 16.0 / 17.0, 250.0);
 }
 
+TEST(PipelineContentAware, FunctionalWorkStaysOutOfTheResult)
+{
+    // A sampled run's gap: functional warm-up places load addresses
+    // in the Short file, and installing its values writes the file.
+    // Neither is a detailed instruction, so neither reaches a result.
+    CoreParams params = CoreParams::contentAware();
+    emu::Emulator trace(longValueStream(), "test", 30000);
+    PredictingFetchStream stream(trace, params);
+    Pipeline pipeline(params);
+    pipeline.beginRun("test");
+    Pipeline::WarmupScratch scratch;
+    pipeline.warmUpRange(stream, 10000, scratch);
+    pipeline.installWarmState(scratch);
+    RunResult gap = pipeline.finishRun();
+    EXPECT_EQ(gap.intRfAccesses.totalReads(), 0u);
+    EXPECT_EQ(gap.intRfAccesses.totalWrites(), 0u);
+    EXPECT_EQ(gap.intRfAccesses.shortProbeReads, 0u);
+    EXPECT_EQ(gap.shortFileWrites, 0u);
+}
+
 TEST(PipelineDeterminism, RepeatRunsAreIdentical)
 {
     auto a = runOn(CoreParams::contentAware(), longValueStream(),

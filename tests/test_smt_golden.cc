@@ -318,8 +318,8 @@ TEST(SoloGolden, SampledContentAwareMatchesPinnedHash)
         workloads::findWorkload("hash_table"),
         core::CoreParams::contentAware(), options);
     std::string digest = Sha256::hashHex(sim::runResultJsonFull(r, false));
-    EXPECT_EQ(digest, "4abf19707a687d302f85a305612195d5"
-                      "4788ed1be59d040e5d97b86097dbec89");
+    EXPECT_EQ(digest, "94b031243a82a672f3dbb40ddd0018f9"
+                      "e5c145952b2dde9880e743a4b2775911");
 }
 
 INSTANTIATE_TEST_SUITE_P(
