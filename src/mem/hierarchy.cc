@@ -8,28 +8,4 @@ Hierarchy::Hierarchy(const HierarchyParams &params)
 {
 }
 
-Cycle
-Hierarchy::instAccess(Addr addr)
-{
-    Cycle latency = il1_.params().hitLatency;
-    if (il1_.access(addr))
-        return latency;
-    latency += l2_.params().hitLatency;
-    if (l2_.access(addr))
-        return latency;
-    return latency + params_.memoryLatency;
-}
-
-Cycle
-Hierarchy::dataAccess(Addr addr)
-{
-    Cycle latency = dl1_.params().hitLatency;
-    if (dl1_.access(addr))
-        return latency;
-    latency += l2_.params().hitLatency;
-    if (l2_.access(addr))
-        return latency;
-    return latency + params_.memoryLatency;
-}
-
 } // namespace carf::mem

@@ -33,10 +33,10 @@ class Hierarchy
     explicit Hierarchy(const HierarchyParams &params = {});
 
     /** Instruction fetch for the line containing @p pc-address. */
-    Cycle instAccess(Addr addr);
+    Cycle instAccess(Addr addr) { return access(il1_, addr); }
 
     /** Data access (load or store allocate-on-miss). */
-    Cycle dataAccess(Addr addr);
+    Cycle dataAccess(Addr addr) { return access(dl1_, addr); }
 
     unsigned dl1Ports() const { return params_.dl1Ports; }
 
@@ -45,6 +45,19 @@ class Hierarchy
     const Cache &l2() const { return l2_; }
 
   private:
+    /** Look @p addr up in @p l1, then the L2, then memory. */
+    Cycle
+    access(Cache &l1, Addr addr)
+    {
+        Cycle latency = l1.params().hitLatency;
+        if (l1.access(addr))
+            return latency;
+        latency += l2_.params().hitLatency;
+        if (l2_.access(addr))
+            return latency;
+        return latency + params_.memoryLatency;
+    }
+
     HierarchyParams params_;
     Cache il1_;
     Cache dl1_;
