@@ -5,8 +5,9 @@
  * segment preload into the paged memory image), zero-copy cursor
  * replay vs streaming emulation throughput (build and replay also
  * report time and resident bytes per record), the cost of metering
- * streamed emulation per record vs per block (MeteredSource), and the
- * headline experiment-engine number — a 4-configuration sweep over
+ * streamed emulation per record vs per block (MeteredSource),
+ * functional warm-up (Pipeline::warmUpRange) over whole blocks vs one
+ * record at a time, and the headline experiment-engine number — a 4-configuration sweep over
  * the full workload suite with and without the shared TraceCache. The
  * sweep pair is the before/after evidence for the cache: "Streaming"
  * pays one emulation per (config, workload) job, "Cached" pays one
@@ -210,6 +211,57 @@ BM_CursorReplay(benchmark::State &state)
     reportPerRecord(state, *buffer);
 }
 BENCHMARK(BM_CursorReplay)->Arg(1 << 18)->Unit(benchmark::kMillisecond);
+
+/** Only next(): takes FetchStream's per-record fillWarm(). */
+class PerRecordFetch final : public core::FetchStream
+{
+  public:
+    explicit PerRecordFetch(core::FetchStream &inner) : inner_(&inner) {}
+    bool next(core::FetchEntry &out) override { return inner_->next(out); }
+    std::string name() const override { return inner_->name(); }
+
+  private:
+    core::FetchStream *inner_;
+};
+
+void
+BM_FunctionalWarmUp(benchmark::State &state)
+{
+    // Functional warm-up of a streamed trace, as the sampler's gaps
+    // and fast-forward run it: emulation, branch training, the caches
+    // and the Short file's address history. per_record=0 pulls whole
+    // blocks through PredictingFetchStream::fillWarm(); per_record=1
+    // wraps the same stream so warmUpRange() takes one record per
+    // virtual next(). The pipeline is built outside the timed region.
+    const auto &w = workloads::findWorkload("hash_table");
+    u64 insts = static_cast<u64>(state.range(0));
+    bool per_record = state.range(1) != 0;
+    const core::CoreParams params = core::CoreParams::contentAware();
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto pipeline = std::make_unique<core::Pipeline>(params);
+        emu::MeteredSource source(workloads::makeTrace(w, insts));
+        core::PredictingFetchStream predicted(source, params);
+        PerRecordFetch wrapped(predicted);
+        core::FetchStream &stream =
+            per_record ? static_cast<core::FetchStream &>(wrapped)
+                       : predicted;
+        core::Pipeline::WarmupScratch scratch;
+        state.ResumeTiming();
+        pipeline->warmUpRange(stream, insts, scratch);
+        benchmark::DoNotOptimize(scratch.intVals.data());
+        state.SetItemsProcessed(state.items_processed() +
+                                static_cast<i64>(insts));
+    }
+    state.counters["time_per_record"] = benchmark::Counter(
+        static_cast<double>(state.items_processed()),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FunctionalWarmUp)
+    ->ArgNames({"records", "per_record"})
+    ->Args({1 << 18, 0})
+    ->Args({1 << 18, 1})
+    ->Unit(benchmark::kMillisecond);
 
 /** One 4-config x full-suite sweep on @p jobs workers. */
 void
