@@ -86,12 +86,6 @@ struct CoreParams
     mem::HierarchyParams memory;
 
     /**
-     * Cycles of the value-oracle sampling period (0 disables the
-     * oracle; 1 samples every cycle as the paper's oracle did).
-     */
-    unsigned oracleSamplePeriod = 0;
-
-    /**
      * Hardware threads sharing the core (SMT, paper §6). >1 gives
      * the Pipeline per-thread RAT/ROB/LSQ partitions over shared
      * register files, queues, FUs, caches, and predictor.

@@ -199,12 +199,12 @@ Pipeline::Pipeline(const CoreParams &params, unsigned num_threads)
             u32 tag = t * isa::numArchRegs + i;
             thread.intRat[i] = tag;
             thread.fpRat[i] = tag;
-            intRf_->write(tag, 0);
+            intTags_[tag].type = intRf_->write(tag, 0).type;
             fpRf_->write(tag, 0);
         }
     }
-    intRf_->clearAccessCounts();
-    fpRf_->clearAccessCounts();
+    // No instruction wrote the initial zeros.
+    leftOut_ = modelCounts();
 }
 
 Pipeline::~Pipeline() = default;
@@ -252,6 +252,42 @@ Pipeline::gatherSources(const InFlightInst &inst, SourceView &s1,
 }
 
 void
+Pipeline::tallyOperandTypes(const InFlightInst &inst,
+                            RunResult &result) const
+{
+    // Table 4: source operand type mix over integer operands, and the
+    // §6 clustering estimate (steer by type; a source of another type
+    // crosses clusters). Each integer source counts with the type WR1
+    // gave it: by commit every producer has written back, and the
+    // younger writer that frees a source tag has not committed yet.
+    bool u1 = inst.src1Tag != invalidIndex && !inst.src1IsFp;
+    bool u2 = inst.src2Tag != invalidIndex && !inst.src2IsFp;
+    ValueType t1 = u1 ? intTags_[inst.src1Tag].type : ValueType::Long;
+    ValueType t2 = u2 ? intTags_[inst.src2Tag].type : ValueType::Long;
+    auto has = [&](ValueType t) {
+        return (u1 && t1 == t) || (u2 && t2 == t);
+    };
+    result.operandMix.record(has(ValueType::Simple),
+                             has(ValueType::Short),
+                             has(ValueType::Long));
+
+    // Clustering estimate: steer the instruction to the cluster
+    // holding (the majority of) its integer operands; with two
+    // differing operands, prefer the cluster of the result type so the
+    // writeback stays local, and the other operand crosses.
+    if (u1 && u2) {
+        if (t1 == t2) {
+            result.cluster.localOperands += 2;
+        } else {
+            ++result.cluster.localOperands;
+            ++result.cluster.crossOperands;
+        }
+    } else if (u1 || u2) {
+        ++result.cluster.localOperands;
+    }
+}
+
+void
 Pipeline::sortIcount()
 {
     // Insertion sort: stable, allocation-free, and T is tiny.
@@ -272,6 +308,7 @@ Pipeline::doCommit(Cycle cur)
 {
     (void)cur;
     unsigned budget = params_.commitWidth;
+    bool taxonomy = intRf_->hasValueTaxonomy();
     unsigned threads = Smt ? numThreads_ : 1;
     for (unsigned off = 0; off < threads && budget > 0; ++off) {
         Thread &thread = threads_[Smt ? rotated(off) : 0];
@@ -280,6 +317,8 @@ Pipeline::doCommit(Cycle cur)
             if (head.state != InstState::WrittenBack)
                 break;
 
+            if (taxonomy)
+                tallyOperandTypes(head, thread.result);
             if (head.hasDest()) {
                 if (head.destIsFp) {
                     fpRf_->release(head.oldDestTag);
@@ -372,6 +411,7 @@ Pipeline::tryWriteback(Thread &thread, unsigned tid, InFlightInst &inst,
     --int_ports;
     TagInfo &ti = tagInfo(inst.destTag, false);
     ti.state = TagInfo::State::Done;
+    ti.type = access.type;
     ti.rfReadableCycle = cur + params_.intWbStages;
     inst.state = InstState::WrittenBack;
     inst.wbCycle = cur;
@@ -732,41 +772,6 @@ Pipeline::doIssue(Cycle cur)
             consume_src(s1, so1);
             consume_src(s2, so2);
 
-            // Table 4: source operand type mix over integer operands,
-            // and the §6 clustering estimate (steer by result type; a
-            // source of another type crosses clusters). Each integer
-            // source is classified once.
-            if (intRf_->hasValueTaxonomy()) {
-                bool u1 = s1.used && !s1.isFp;
-                bool u2 = s2.used && !s2.isFp;
-                ValueType t1 =
-                    u1 ? intRf_->classifyPeek(s1.value) : ValueType::Long;
-                ValueType t2 =
-                    u2 ? intRf_->classifyPeek(s2.value) : ValueType::Long;
-                auto has = [&](ValueType t) {
-                    return (u1 && t1 == t) || (u2 && t2 == t);
-                };
-                result.operandMix.record(has(ValueType::Simple),
-                                         has(ValueType::Short),
-                                         has(ValueType::Long));
-
-                // Clustering estimate: steer the instruction to the
-                // cluster holding (the majority of) its integer
-                // operands; with two differing operands, prefer the
-                // cluster of the result type so the writeback stays
-                // local, and the other operand crosses.
-                if (u1 && u2) {
-                    if (t1 == t2) {
-                        result.cluster.localOperands += 2;
-                    } else {
-                        ++result.cluster.localOperands;
-                        ++result.cluster.crossOperands;
-                    }
-                } else if (u1 || u2) {
-                    ++result.cluster.localOperands;
-                }
-            }
-
             if (is_mem)
                 intRf_->noteAddress(inst.op.effAddr, tid);
             if (is_store)
@@ -971,14 +976,6 @@ Pipeline::doFetch(Cycle cur)
 }
 
 void
-Pipeline::warmUp(FetchStream &stream, u64 insts)
-{
-    WarmupScratch scratch;
-    warmUpRange(stream, insts, scratch);
-    finishWarmUp(scratch);
-}
-
-void
 Pipeline::warmUpRange(FetchStream &stream, u64 insts,
                       WarmupScratch &scratch)
 {
@@ -1026,7 +1023,8 @@ Pipeline::installWarmState(const WarmupScratch &scratch)
             regfile::WriteAccess access =
                 intRf_->write(tag, scratch.intVals[r]);
             if (access.stalled)
-                intRf_->writeForced(tag, scratch.intVals[r]);
+                access = intRf_->writeForced(tag, scratch.intVals[r]);
+            intTags_[tag].type = access.type;
         }
         if (scratch.fpSet[r]) {
             u32 tag = thread.fpRat[r];
@@ -1050,17 +1048,6 @@ Pipeline::leaveOut(const ModelCounts &before)
     leftOut_.access += now.access;
     leftOut_.access -= before.access;
     leftOut_.shortAllocs += now.shortAllocs - before.shortAllocs;
-}
-
-void
-Pipeline::finishWarmUp(const WarmupScratch &scratch)
-{
-    installWarmState(scratch);
-    // finishRun() reports accesses and Short placements from here on:
-    // those of the fast-forward stay out of the timed result.
-    leftOut_ = modelCounts();
-    threads_[0].result = RunResult{};
-    committedTotal_ = 0;
 }
 
 void
@@ -1211,13 +1198,12 @@ Pipeline::quiescentUntil(Cycle cur) const
 }
 
 void
-Pipeline::startWindow(CycleObserver *observer)
+Pipeline::startWindow()
 {
     for (Thread &thread : threads_) {
         thread.result = RunResult{};
         thread.result.config = params_.regFileBackend;
     }
-    observer_ = observer;
     cycle_ = 0;
     rrCounter_ = 0;
     committedTotal_ = 0;
@@ -1230,11 +1216,10 @@ Pipeline::startWindow(CycleObserver *observer)
 }
 
 void
-Pipeline::beginRun(const std::string &workload_name,
-                   CycleObserver *observer)
+Pipeline::beginRun(const std::string &workload_name)
 {
     requireSolo("beginRun");
-    startWindow(observer);
+    startWindow();
     threads_[0].result.workload = workload_name;
 }
 
@@ -1290,8 +1275,7 @@ Pipeline::step()
     else
         stepStages<true>(cur);
 
-    if (observer_ && params_.oracleSamplePeriod &&
-        cur % params_.oracleSamplePeriod == 0) {
+    if (observer_ && samplePeriod_ && cur % samplePeriod_ == 0) {
         observer_->sampleCycle(cur, *intRf_);
     }
     regfile::RegisterFile::Occupancy occ = intRf_->occupancy();
@@ -1397,9 +1381,12 @@ Pipeline::finishRun()
 }
 
 RunResult
-Pipeline::run(FetchStream &stream, CycleObserver *observer)
+Pipeline::run(FetchStream &stream, CycleObserver *observer,
+              unsigned sample_period)
 {
-    beginRun(stream.name(), observer);
+    beginRun(stream.name());
+    observer_ = observer;
+    samplePeriod_ = sample_period;
     while (active())
         stepCycle(stream);
     return finishRun();
@@ -1418,7 +1405,7 @@ Pipeline::run(std::vector<emu::TraceSource *> sources,
     BranchPredictors predictors(params_);
     std::vector<SaltedFetchStream> streams;
     streams.reserve(numThreads_);
-    startWindow(nullptr);
+    startWindow();
     for (unsigned t = 0; t < numThreads_; ++t) {
         streams.emplace_back(*sources[t], predictors, t);
         threads_[t].stream = &streams.back();

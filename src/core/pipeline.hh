@@ -93,8 +93,11 @@ class Pipeline
      * Simulate @p stream to exhaustion and return the run summary
      * (one-thread cores).
      * @param observer optional per-cycle register file sampler
+     * @param sample_period cycles between the observer's samples
+     *        (0: none)
      */
-    RunResult run(FetchStream &stream, CycleObserver *observer = nullptr);
+    RunResult run(FetchStream &stream, CycleObserver *observer = nullptr,
+                  unsigned sample_period = 1);
 
     /**
      * Run one trace per hardware thread.
@@ -108,22 +111,12 @@ class Pipeline
     SmtResult run(std::vector<emu::TraceSource *> sources,
                   bool stop_on_first_drain = true);
 
-    /**
-     * Fast-forward: functionally consume up to @p insts instructions
-     * from @p stream before timed simulation, warming the caches, the
-     * Short file, and the architectural register values (the paper
-     * measures representative windows after a SimPoint-style skip).
-     * The branch predictors live in @p stream, so pass the same
-     * stream to run(). Call before run(), at most once.
-     */
-    void warmUp(FetchStream &stream, u64 insts);
-
     // --- resumable-lane interface (one-thread cores only) ---
 
     /**
      * Architectural values accumulated across chunked warm-up calls;
      * zero-initialized, passed to every warmUpRange() of one warm-up
-     * and installed by finishWarmUp().
+     * and installed by installWarmState().
      */
     struct WarmupScratch
     {
@@ -135,26 +128,22 @@ class Pipeline
 
     /**
      * Functionally consume up to @p insts records of @p stream into
-     * @p scratch (one slice of a possibly chunked warm-up). Stops
-     * early only when the stream ends. Records arrive in blocks of at
-     * most 256 through FetchStream::fillWarm(); each block then warms
-     * the caches and the register file in record order.
+     * @p scratch (one slice of a possibly chunked warm-up), warming
+     * the caches, the Short file and the predictors (which live in
+     * @p stream, so keep timing from the same stream). Stops early
+     * only when the stream ends. Records arrive in blocks of at most
+     * 256 through FetchStream::fillWarm(); each block then warms the
+     * caches and the register file in record order. A fast-forward
+     * before run() and a sampled run's gaps both use it.
      */
     void warmUpRange(FetchStream &stream, u64 insts,
                      WarmupScratch &scratch);
 
     /**
-     * Install the warm-up's architectural values and reset statistics
-     * for the timed window. Call once, after the last warmUpRange().
-     */
-    void finishWarmUp(const WarmupScratch &scratch);
-
-    /**
-     * Install the architectural values gathered by warmUpRange()
-     * *without* resetting statistics — the sampling engine's variant
-     * of finishWarmUp(), used between measurement intervals of one
-     * timed window (issue cross-checks every RegFile operand against
-     * the trace, so resumed execution needs current values).
+     * Install the architectural values gathered by warmUpRange(), so
+     * timed execution reads them (issue cross-checks every RegFile
+     * operand against the trace). Statistics are kept; the file's
+     * counts of these writes stay out of every result.
      */
     void installWarmState(const WarmupScratch &scratch);
 
@@ -168,8 +157,7 @@ class Pipeline
     void resetForResume();
 
     /** Arm the timed window: reset statistics and the cycle counter. */
-    void beginRun(const std::string &workload_name,
-                  CycleObserver *observer = nullptr);
+    void beginRun(const std::string &workload_name);
 
     /**
      * True while the timed window still has work: trace records left
@@ -241,6 +229,8 @@ class Pipeline
     {
         enum class State : u8 { Pending, Issued, Done };
         State state = State::Done;
+        /** Integer tags: the type WR1 gave the value last written. */
+        regfile::ValueType type = regfile::ValueType::Long;
         Cycle completeCycle = 0;
         /** First cycle the value is readable from the file. */
         Cycle rfReadableCycle = 0;
@@ -252,6 +242,8 @@ class Pipeline
          */
         Cycle earliestIssue = 0;
     };
+    // Scanned per operand check: growing it slows the issue stage.
+    static_assert(sizeof(TagInfo) == 32);
 
     struct FetchedInst
     {
@@ -367,7 +359,7 @@ class Pipeline
     };
 
     /** Reset statistics and the clock for a new timed window. */
-    void startWindow(CycleObserver *observer);
+    void startWindow();
 
     /** Advance every thread by one cycle (or skip an idle stretch). */
     void step();
@@ -421,6 +413,13 @@ class Pipeline
     /** Gather the register sources of @p inst. */
     void gatherSources(const InFlightInst &inst, SourceView &s1,
                        SourceView &s2) const;
+
+    /**
+     * Count committing @p inst's integer sources in @p result's
+     * operand mix and clustering estimate, by their written types.
+     */
+    void tallyOperandTypes(const InFlightInst &inst,
+                           RunResult &result) const;
 
     /**
      * Attempt the writeback of @p inst (state Issued) of thread
@@ -526,13 +525,15 @@ class Pipeline
     /** Add what the int file counted since @p before to leftOut_. */
     void leaveOut(const ModelCounts &before);
     /**
-     * The counters finishRun() leaves out of the result: all of them
-     * up to finishWarmUp(), plus what every later warmUpRange() and
-     * installWarmState() added (a sampled run's functional gaps), so
-     * a result counts detailed instructions only.
+     * The counters finishRun() leaves out of the result: what the
+     * initial zeros and every warmUpRange() and installWarmState()
+     * added (a fast-forward, a sampled run's functional gaps), so a
+     * result counts detailed instructions only.
      */
     ModelCounts leftOut_;
+    /** run()'s observer, sampled every samplePeriod_ cycles. */
     CycleObserver *observer_ = nullptr;
+    unsigned samplePeriod_ = 0;
 };
 
 /**

@@ -85,8 +85,7 @@ BaselineRegFile::read(u32 tag)
         panic("%s: read of dead tag %u", name_.c_str(), tag);
     ReadAccess access;
     access.value = e.value;
-    // The reporting taxonomy (simple/long), bound statically.
-    access.type = RegisterFile::classifyPeek(e.value);
+    access.type = flatValueType(e.value);
     countRead(access.type);
     return access;
 }
@@ -100,7 +99,7 @@ BaselineRegFile::doWrite(u32 tag, u64 value, unsigned tid, bool forced)
     e.live = true;
     e.value = value;
     WriteAccess access;
-    access.type = RegisterFile::classifyPeek(value);
+    access.type = flatValueType(value);
     countWrite(access.type);
     return access;
 }
@@ -115,7 +114,7 @@ RegisterFile::Peek
 BaselineRegFile::peek(u32 tag) const
 {
     const Entry &e = file_.at(tag);
-    return {e.live, RegisterFile::classifyPeek(e.value), e.value, 0};
+    return {e.live, flatValueType(e.value), e.value, 0};
 }
 
 } // namespace carf::regfile

@@ -66,12 +66,6 @@ class ContentAwareRegFile : public RegisterFile
     void onRobInterval() override;
     Peek peek(u32 tag) const override;
 
-    /** Classify @p value against current state, with no side effects. */
-    ValueType classifyPeek(u64 value) const override
-    {
-        return classifyValue(value, params_.sim, shortFile_);
-    }
-
     unsigned freeLongEntries() const
     {
         return static_cast<unsigned>(freeLong_.size());

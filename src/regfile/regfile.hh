@@ -5,20 +5,22 @@
  *
  * The out-of-order core interacts with the register file through this
  * interface: physical tags are allocated/freed by rename/commit, while
- * the model tracks per-tag contents, classifies values, arbitrates
- * internal structures, and counts accesses for the energy model.
+ * the model tracks per-tag contents, classifies each value once as it
+ * is written, arbitrates internal structures, and counts accesses for
+ * the energy model.
  *
  * Every virtual hook is one a simulation calls for a reason the core
- * cannot compute itself; there are eleven, in five groups:
+ * cannot compute itself; there are ten, in four groups:
  *
  *  - **data path**: read() / release(), and one protected doWrite()
  *    behind write() and writeForced(); doNoteAddress() behind
  *    noteAddress(). The hardware thread is an argument (tid), and the
- *    thread count a construction parameter (RegFileParams::threads);
+ *    thread count a construction parameter (RegFileParams::threads).
+ *    A write returns the value's type (WR1); the core keeps it with
+ *    the tag and tallies the operand-mix and clustering statistics
+ *    from it at commit, so classification is no hook of its own;
  *  - **core-facing policy**: shouldStallIssue() (read by issue after
  *    that cycle's commit and writeback) and onRobInterval();
- *  - **classification**: classifyPeek(), called once per integer
- *    source at issue for the operand-mix and clustering statistics;
  *  - **snapshots**: peek() for one tag's contents, stats() for the
  *    model's counters, occupancy() once per cycle;
  *  - **verification**: checkInvariants(), run every cycle under the
@@ -63,6 +65,10 @@ struct ReadAccess
 /** Result of a register-file write access. */
 struct WriteAccess
 {
+    /**
+     * Content type of the written value (the WR1 classification); the
+     * core keeps it with the tag for the operand statistics.
+     */
     ValueType type = ValueType::Long;
     /**
      * True when the write could not complete this cycle (no free Long
@@ -174,19 +180,11 @@ class RegisterFile
      */
     unsigned readPortPool() const { return readPortPool_; }
 
-    // --- classification ---
-
     /**
-     * Classify @p value against current model state, with no side
-     * effects. The default applies the baseline reporting taxonomy
-     * (sign-extends from 20 bits => Simple, else Long).
-     */
-    virtual ValueType classifyPeek(u64 value) const;
-
-    /**
-     * True when classifyPeek() reflects a real content taxonomy the
-     * model maintains (drives the operand-mix / clustering stats);
-     * false when classification exists only for reporting parity.
+     * True when the types write() returns are a content taxonomy the
+     * model stores by (the core tallies the operand-mix and clustering
+     * statistics from them); false when they exist only for
+     * reporting parity.
      */
     bool hasValueTaxonomy() const { return valueTaxonomy_; }
 
@@ -263,8 +261,6 @@ class RegisterFile
     virtual std::string checkInvariants() const { return ""; }
 
     const AccessCounts &accessCounts() const { return counts_; }
-    /** Zero the access counters (e.g.\ after warm-up writes). */
-    void clearAccessCounts() { counts_ = AccessCounts{}; }
 
   protected:
     /** The write path behind write() and writeForced(). */

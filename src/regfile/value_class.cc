@@ -200,11 +200,9 @@ classifyValue(u64 value, const SimilarityParams &params,
 }
 
 ValueType
-classifyValue(u64 value, const SimilarityParams &params,
-              const ShortFile &short_file)
+flatValueType(u64 value)
 {
-    unsigned idx;
-    return classifyValue(value, params, short_file, idx);
+    return fitsSigned(value, 20) ? ValueType::Simple : ValueType::Long;
 }
 
 } // namespace carf::regfile

@@ -203,13 +203,11 @@ ValueType classifyValue(u64 value, const SimilarityParams &params,
                         const ShortFile &short_file, unsigned &short_idx);
 
 /**
- * Const classification path: identical taxonomy, but without the
- * Short-index out-parameter. Use this wherever the caller only needs
- * the type (peeks, statistics) — it cannot be abused to smuggle state
- * out of a classification that must stay side-effect free.
+ * The reporting taxonomy of a file without a Short file: Simple when
+ * @p value sign-extends from 20 bits (the paper's chosen d+n), else
+ * Long.
  */
-ValueType classifyValue(u64 value, const SimilarityParams &params,
-                        const ShortFile &short_file);
+ValueType flatValueType(u64 value);
 
 } // namespace carf::regfile
 

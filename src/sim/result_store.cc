@@ -90,7 +90,6 @@ resultKeyFields(const std::string &workload_name,
     addU("gshare_history_bits", params.gshareHistoryBits);
     addU("btb_entries", params.btbEntries);
     addU("ras_depth", params.rasDepth);
-    addU("core_oracle_period", params.oracleSamplePeriod);
 
     // Register-file backend and every backend parameter bundle. All
     // bundles are keyed unconditionally (they are cheap), so a backend

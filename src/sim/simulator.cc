@@ -154,6 +154,12 @@ SimOptions::validate(unsigned threads) const
         fatal("SimOptions: the live-value oracle observes one thread "
               "(smtThreads=%u)", threads);
     }
+    if (fastForward > ~u64{0} - maxInsts) {
+        fatal("SimOptions: fastForward (%llu) + maxInsts (%llu) "
+              "overflows a 64-bit record count",
+              (unsigned long long)fastForward,
+              (unsigned long long)maxInsts);
+    }
     if (samplingPeriod == 0)
         return;
     if (threads > 1) {
@@ -172,10 +178,13 @@ SimOptions::validate(unsigned threads) const
     }
     if (samplingMeasure == 0)
         fatal("SimOptions: samplingMeasure must be > 0");
-    if (samplingWarmup + samplingMeasure > samplingPeriod) {
-        fatal("SimOptions: samplingWarmup + samplingMeasure (%llu) "
-              "exceeds samplingPeriod (%llu)",
-              (unsigned long long)(samplingWarmup + samplingMeasure),
+    // Compared without the sum, which could wrap.
+    if (samplingWarmup > samplingPeriod ||
+        samplingMeasure > samplingPeriod - samplingWarmup) {
+        fatal("SimOptions: samplingWarmup (%llu) + samplingMeasure "
+              "(%llu) exceeds samplingPeriod (%llu)",
+              (unsigned long long)samplingWarmup,
+              (unsigned long long)samplingMeasure,
               (unsigned long long)samplingPeriod);
     }
 }
@@ -342,9 +351,6 @@ simulate(const workloads::Workload &workload,
     unsigned threads = params.smtThreads > 0 ? params.smtThreads : 1;
     options.validate(threads);
 
-    core::CoreParams run_params = params;
-    run_params.oracleSamplePeriod = options.oracleSamplePeriod;
-
     // One trace per thread, each over its own functional memory:
     // thread 0 runs the job's workload, partners cycle through the
     // mix. With a cache, threads running the same workload share the
@@ -362,11 +368,11 @@ simulate(const workloads::Workload &workload,
     emu::TraceSource &lead = *traces.front().source;
 
     auto sim_start = std::chrono::steady_clock::now();
-    core::Pipeline pipeline(run_params, threads);
+    core::Pipeline pipeline(params, threads);
     pipeline.setFastPath(options.fastPath);
     core::RunResult result;
     if (options.samplingPeriod > 0) {
-        core::PredictingFetchStream predicted(lead, run_params);
+        core::PredictingFetchStream predicted(lead, params);
         result = runSampled(pipeline, predicted, options);
     } else if (threads > 1) {
         std::vector<emu::TraceSource *> sources;
@@ -376,10 +382,13 @@ simulate(const workloads::Workload &workload,
     } else {
         // One front end spans the warm-up and the window, so the
         // predictors stay warm across both.
-        core::PredictingFetchStream predicted(lead, run_params);
-        if (options.fastForward > 0)
-            pipeline.warmUp(predicted, options.fastForward);
-        result = pipeline.run(predicted, oracle);
+        core::PredictingFetchStream predicted(lead, params);
+        if (options.fastForward > 0) {
+            core::Pipeline::WarmupScratch scratch;
+            pipeline.warmUpRange(predicted, options.fastForward, scratch);
+            pipeline.installWarmState(scratch);
+        }
+        result = pipeline.run(predicted, oracle, options.oracleSamplePeriod);
     }
     chargeHostTime(result, traces, sim_start);
     return result;

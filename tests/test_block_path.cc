@@ -228,8 +228,8 @@ TEST(WarmUpBlocks, EqualsPerRecordWarmUpAroundTheBlockSize)
 
         // The caches, the Short file's address history and the
         // predictors then time the rest of the trace alike.
-        a.finishWarmUp(scratch_a);
-        b.finishWarmUp(scratch_b);
+        a.installWarmState(scratch_a);
+        b.installWarmState(scratch_b);
         core::RunResult ra = a.run(blocks);
         core::RunResult rb = b.run(records);
         EXPECT_EQ(ra.committedInsts, len < budget ? budget - len : 0);

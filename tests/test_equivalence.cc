@@ -26,6 +26,15 @@ class ArchEquivalence
 {
 };
 
+/** Fast-forward @p insts records of @p stream, as simulate() does. */
+void
+fastForward(core::Pipeline &pipeline, core::FetchStream &stream, u64 insts)
+{
+    core::Pipeline::WarmupScratch scratch;
+    pipeline.warmUpRange(stream, insts, scratch);
+    pipeline.installWarmState(scratch);
+}
+
 } // namespace
 
 TEST_P(ArchEquivalence, PipelineMatchesEmulator)
@@ -85,8 +94,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(WarmUpEquivalence, FastForwardPreservesArchState)
 {
-    // warmUp(N) followed by run(M) must leave the same architectural
-    // state as functionally executing N+M instructions.
+    // A fast-forward of N followed by run(M) must leave the same
+    // architectural state as functionally executing N+M instructions.
     const u64 skip = 15000, window = 10000;
     const auto &workload = workloads::findWorkload("hash_table");
 
@@ -99,7 +108,7 @@ TEST(WarmUpEquivalence, FastForwardPreservesArchState)
     const auto params = core::CoreParams::contentAware();
     core::PredictingFetchStream stream(*trace, params);
     core::Pipeline pipeline(params);
-    pipeline.warmUp(stream, skip);
+    fastForward(pipeline, stream, skip);
     auto result = pipeline.run(stream);
     EXPECT_EQ(result.committedInsts, window);
 
@@ -123,7 +132,7 @@ TEST(WarmUpEquivalence, WarmCachesRaiseWindowIpc)
     auto warm_trace = workloads::makeTrace(workload, 40000);
     core::PredictingFetchStream warm_stream(*warm_trace, params);
     core::Pipeline warm(params);
-    warm.warmUp(warm_stream, 20000);
+    fastForward(warm, warm_stream, 20000);
     auto warm_result = warm.run(warm_stream);
 
     EXPECT_GE(warm_result.ipc, cold_result.ipc * 0.98);

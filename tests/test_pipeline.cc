@@ -282,6 +282,36 @@ TEST(PipelineContentAware, FunctionalWorkStaysOutOfTheResult)
     EXPECT_EQ(gap.shortFileWrites, 0u);
 }
 
+TEST(OperandTypes, CountedAsWrittenAtWr1)
+{
+    // R1 is written before any Short group holds its high bits, so WR1
+    // types it Long. A store then places that group, and R1's consumer
+    // issues after it: the consumer must count R1 as Long, the type
+    // the register carries, not as the Short it would classify as by
+    // then.
+    const u64 group = 0x4013'8000;
+    Assembler a;
+    a.movi(R1, static_cast<i64>(group + 8));
+    a.movi(R4, static_cast<i64>(group));
+    a.movi(R6, 0);
+    for (int i = 0; i < 8; ++i)
+        a.mul(R6, R6, R6); // delays the store well past R1's writeback
+    a.st(R6, R4, 0);       // its address places R1's Short group
+    a.mul(R7, R6, R6);     // issues no earlier than the store
+    a.add(R3, R1, R7);     // ...so this consumer issues after it
+    a.halt();
+
+    RunResult result = runOn(CoreParams::contentAware(), a.finish(), 100);
+    const OperandMix &mix = result.operandMix;
+    EXPECT_EQ(mix.counts[OperandMix::OnlyShort], 0u);
+    EXPECT_EQ(mix.counts[OperandMix::SimpleShort], 0u);
+    EXPECT_EQ(mix.counts[OperandMix::ShortLong], 0u);
+    // The store (R6 Simple, R4 Long) and the consumer (R1 Long, R7
+    // Simple); each crosses clusters once.
+    EXPECT_EQ(mix.counts[OperandMix::SimpleLong], 2u);
+    EXPECT_EQ(result.cluster.crossOperands, 2u);
+}
+
 TEST(PipelineDeterminism, RepeatRunsAreIdentical)
 {
     auto a = runOn(CoreParams::contentAware(), longValueStream(),
@@ -297,7 +327,6 @@ TEST(PipelineDeterminism, RepeatRunsAreIdentical)
 TEST(PipelineOracle, ObserverReceivesSamples)
 {
     CoreParams params = CoreParams::baseline();
-    params.oracleSamplePeriod = 4;
 
     class CountingObserver : public CycleObserver
     {
@@ -313,7 +342,7 @@ TEST(PipelineOracle, ObserverReceivesSamples)
     emu::Emulator trace(dependentAdds(), "test", 10000);
     PredictingFetchStream stream(trace, params);
     Pipeline pipeline(params);
-    auto result = pipeline.run(stream, &observer);
+    auto result = pipeline.run(stream, &observer, 4);
     EXPECT_GT(observer.samples, result.cycles / 5);
 }
 

@@ -222,36 +222,30 @@ TEST(ContentAware, ShortEntriesProtectedWhileReferenced)
 }
 
 /**
- * Regression: classifyPeek must be a pure observation. It used to
- * pass a dummy mutable index into the classifying call; now it goes
- * through the const classification overload, and no Short-file state
- * (validity, refcounts, allocation count, or the Tcur epoch bit) may
- * change.
+ * write() returns the type WR1 gave the value, the only classification
+ * the core reads: a value in a resident Short group, a value of no
+ * group, a simple value. The type is stored with the entry, so a group
+ * placed after the write leaves it Long.
  */
-TEST(ContentAware, ClassifyPeekHasNoSideEffectsOnShortFile)
+TEST(ContentAware, WriteReturnsTheWr1Type)
 {
     ContentAwareRegFile rf("t", 16, paperParams());
     u64 addr = 0x4013'8000;
     rf.noteAddress(addr);
     ASSERT_EQ(rf.liveShortEntries(), 1u);
-    u64 allocs_before = rf.shortFile().allocations();
 
-    // Peek every class: a resident short, a long, a simple.
-    EXPECT_EQ(rf.classifyPeek(addr + 4), ValueType::Short);
-    EXPECT_EQ(rf.classifyPeek(0xdeadbeef12345678ull), ValueType::Long);
-    EXPECT_EQ(rf.classifyPeek(17), ValueType::Simple);
+    EXPECT_EQ(rf.write(0, addr + 4).type, ValueType::Short);
+    EXPECT_EQ(rf.write(1, 0xdeadbeef12345678ull).type, ValueType::Long);
+    EXPECT_EQ(rf.write(2, 17).type, ValueType::Simple);
 
-    EXPECT_EQ(rf.shortFile().allocations(), allocs_before);
-    EXPECT_EQ(rf.liveShortEntries(), 1u);
-    for (unsigned i = 0; i < rf.shortFile().entries(); ++i)
-        EXPECT_EQ(rf.shortFile().refCount(i), 0u);
-
-    // The entry is unreferenced and untouched; if the peek had set
-    // Tcur it would survive the first interval tick. Two ticks with
-    // no live references must reclaim it.
-    rf.onRobInterval();
-    rf.onRobInterval();
-    EXPECT_EQ(rf.liveShortEntries(), 0u);
+    // Another Short index of the same high bits: no group yet.
+    u64 later = 0x4017'8000;
+    EXPECT_EQ(rf.write(3, later + 8).type, ValueType::Long);
+    rf.noteAddress(later);
+    ASSERT_EQ(rf.liveShortEntries(), 2u);
+    EXPECT_EQ(rf.peek(3).type, ValueType::Long);
+    EXPECT_EQ(rf.read(3).type, ValueType::Long);
+    EXPECT_EQ(rf.write(4, later + 8).type, ValueType::Short);
 }
 
 /**

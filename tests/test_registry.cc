@@ -138,7 +138,7 @@ class TestZooRegFile : public regfile::RegisterFile
     regfile::WriteAccess doWrite(u32 tag, u64 value, unsigned,
                                  bool) override
     {
-        file_.at(tag) = {true, classifyPeek(value), value, 0};
+        file_.at(tag) = {true, regfile::flatValueType(value), value, 0};
         countWrite(file_.at(tag).type);
         return {file_.at(tag).type, false};
     }
@@ -161,6 +161,9 @@ TEST(Registry, ExternalBackendSelfRegistersAndSimulates)
     auto rf = regfile::makeRegFile(
         "test-zoo", core::CoreParams::baseline().regFileParams());
     EXPECT_EQ(rf->entries(), 112u);
+    // Its writes report the flat files' taxonomy.
+    EXPECT_EQ(rf->write(0, 17).type, regfile::ValueType::Simple);
+    EXPECT_EQ(rf->write(1, u64{1} << 40).type, regfile::ValueType::Long);
 
     // End to end: the whole pipeline runs on the new backend purely
     // by name, no core changes.
@@ -171,6 +174,8 @@ TEST(Registry, ExternalBackendSelfRegistersAndSimulates)
                                 options);
     EXPECT_EQ(result.committedInsts, options.maxInsts);
     EXPECT_EQ(result.config, "test-zoo");
+    // Reporting types are no taxonomy: no operand statistics.
+    EXPECT_EQ(result.cluster.localOperands, 0u);
 
     // A registration without geometry gets the flat 64-bit default.
     auto params = core::CoreParams::forBackend("test-zoo");

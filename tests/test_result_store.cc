@@ -255,17 +255,17 @@ TEST(ResultStore, PinnedKeysAreStable)
         const char *key;
     } pins[] = {
         {core::CoreParams::baseline(), quick(),
-         "56f643b20c5f59beda640db296224815bd72270317ae1a080f145e46e6119b03"},
+         "d84b3b357a3ec968246522e08b351c79385c5f78d3b255af2dc485aae454d610"},
         {core::CoreParams::contentAware(24, 3, 56), quick(),
-         "0ed2999bf7458ac96ba6f3b0af9fda24c082721d4b143fe99e7142188355d448"},
+         "b81c9a057b32fb823bc4b73d4242c884c120c0c928e8211a22bee77ea959c0df"},
         {core::CoreParams::portReduction(3), quick(),
-         "ee053fbee8ffce9f30e5b283d8ee84aa9286df127780fac86c6b1c0ac9f8ed06"},
+         "3640c89213fceb5942065ce82762f8324e7349aa3f1de350a73219781baea8eb"},
         {smt, smt_options,
-         "149e256d910e290b0455e45c22a91d932538d71862c7b5aad71c914d978d90c7"},
+         "85b051c6ea44974b1a06485b1accc18f91f3222a51e7d0f4c0270971c7cb0cbd"},
         {core::CoreParams::contentAware(), sampled,
-         "bf0f772e0817030f459be08882a672d1b6de81a9327eb4521855c2e985709782"},
+         "c24972611d20c4d4e58e75320ccfe3fb1446433007cb3ff89094268e684520e8"},
         {core::CoreParams::contentAware(), forwarded,
-         "0b8b359a6721d04f5973e4ae45eede1e69478f79cc856c0f8967a984b391de67"},
+         "7e75553da7855803e88e554966e754dc89e2d3b2aff5037a6f75c9887cc1c3fa"},
     };
     for (const auto &pin : pins)
         EXPECT_EQ(resultKeyFromFields(resultKeyFields(

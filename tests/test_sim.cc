@@ -140,6 +140,24 @@ TEST(SimulatorDeathTest, SmtRejectsSampling)
                  "sampling runs one thread \\(smtThreads=4\\)");
 }
 
+TEST(SimulatorDeathTest, WrappingSumsAreFatal)
+{
+    // Each sum wraps a u64: the sampler would measure nothing, and the
+    // trace budget would shrink to a single record.
+    SimOptions sampled = quick();
+    sampled.samplingPeriod = 25000;
+    sampled.samplingWarmup = ~u64{0};
+    sampled.samplingMeasure = 1;
+    EXPECT_DEATH(sampled.validate(), "exceeds samplingPeriod");
+
+    SimOptions forwarded = quick(2);
+    forwarded.fastForward = ~u64{0};
+    EXPECT_DEATH(forwarded.validate(), "overflows a 64-bit record count");
+    // The largest sum that fits is accepted.
+    forwarded.fastForward = ~u64{0} - 2;
+    forwarded.validate();
+}
+
 TEST(ConfigureRun, BuildsThePaperConfigurations)
 {
     SimOptions options;

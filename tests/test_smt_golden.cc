@@ -122,7 +122,7 @@ pinned()
         {"T1_hash_table_baseline",
      "13660b452d2a7cb0a833d722cde17d10b35717f6755a6a4a2b3e18bcc8bbfb09"},
         {"T1_hash_table_content_aware",
-     "f504ea1360ec4c12ec7c997499a9663d17dfbc96e44871deddb6d136e07e4f6a"},
+     "bc5ebbaedc8fad81e66e63acb0b192998bbb90b3a48db6b4d5a9362c25c789fd"},
         {"T1_hash_table_port_reduction",
      "508e87bf00941a6d1c67ec9a42b691ff72c0988ce72263e90125b913712b0252"},
         {"T1_hash_table_unlimited",
@@ -130,7 +130,7 @@ pinned()
         {"T1_mem_chase_counters_baseline",
      "db436f8ff152a5bdd01bcff6d73493be43fb498a2600bcfceaa6519759e6ce49"},
         {"T1_mem_chase_counters_content_aware",
-     "7a19fc65ae63f029c656d836f54bb09582a704b711829ca2706d4e87216245e5"},
+     "09d8f2d020249feb32755ced9f0dd6e297202e5d8f93e343002cc1eeeffb6e60"},
         {"T1_mem_chase_counters_port_reduction",
      "902f539e818009c589465c1256cc43e9f80352f97df620b888179cde5875cfce"},
         {"T1_mem_chase_counters_unlimited",
@@ -138,7 +138,7 @@ pinned()
         {"T1_crc_daxpy_baseline",
      "558dc69ab46fa72e2d91d453b5fb85ebc032b5366476d157a8ae50592fd037e3"},
         {"T1_crc_daxpy_content_aware",
-     "48d5edefb9527486c9cddb33ce00ccee29eac1bad35a1731ab3bdfc04e309477"},
+     "c9f4ac493bd52f584e4c8ce4da9ca710d2b68e793167c1f053a221f8617830a7"},
         {"T1_crc_daxpy_port_reduction",
      "4b1b4424587fc837daa8f8fc689b0579367f1c04064b3a02e29cbbc09cc9710f"},
         {"T1_crc_daxpy_unlimited",
@@ -146,7 +146,7 @@ pinned()
         {"T2_hash_table_baseline",
          "73c88edbbee4f156cf5d7e566ca9649d3e0e11156ac5d2d43de20370c9eca371"},
         {"T2_hash_table_content_aware",
-         "d3af25df1fe98c89760f4531751008bf5a1e58aee24b0b1553a6f749d2114b05"},
+         "7cf25f23898d270151822302f001eb3c537f87de9056a4a4fc3f3ddb474c346b"},
         {"T2_hash_table_port_reduction",
          "facd1bb275d9b091994add434973b02d75ccf50dc95671ed4d58011a68216134"},
         {"T2_hash_table_unlimited",
@@ -154,7 +154,7 @@ pinned()
         {"T2_mem_chase_counters_baseline",
          "915e44c07359bc2b08c16d38ffbf8c6710dd4c2983b77faa023a182ae886bda0"},
         {"T2_mem_chase_counters_content_aware",
-         "1f25d014fcf419d3d34849554c459f54b4abf685ac9f2942efac02c6b70cdea6"},
+         "1c5afc0f989382a8341750e9ccc621eedd69930b9883b09a1a335c058922fff2"},
         {"T2_mem_chase_counters_port_reduction",
          "f42e53a3601363b9f59639b571585e892aa5f5b8512dc319ab497eb05429f38f"},
         {"T2_mem_chase_counters_unlimited",
@@ -162,7 +162,7 @@ pinned()
         {"T2_crc_daxpy_baseline",
          "cc2869ebcd4bbec3bd7264693de96064655feb5bdfb16ebe54aeb6b03dc312d7"},
         {"T2_crc_daxpy_content_aware",
-         "b0e38f62b678cd0acaaa1c9d0114aaa860dc1d5a3773738fa50932aa07ea2a6f"},
+         "9fdb422a5386efb567a6692700e2bc2ab47ea4487ea383b6b66775d9156da537"},
         {"T2_crc_daxpy_port_reduction",
          "a539ee15e5531b097e992eff0e665151e3909472ade4d5e5eb39c6d2ea83b6b4"},
         {"T2_crc_daxpy_unlimited",
@@ -170,7 +170,7 @@ pinned()
         {"T4_hash_table_baseline",
          "33506c09c4efedfb8bb4d36f659f0e85d621b2a778dbd26824406f609cb8dc8a"},
         {"T4_hash_table_content_aware",
-         "fb2d13f7165607e7a5c15d2803b48e06478c3c05e3e763f56f99cbc49fe39aaf"},
+         "42ceaedebc5336a9ac6721335ba3d948c07698c6735ba581b375804b2ff01cef"},
         {"T4_hash_table_port_reduction",
          "8217f4e1421870785bc0d1873817d4ebcdebc637fdaec66970a02ffc106f67c0"},
         {"T4_hash_table_unlimited",
@@ -178,7 +178,7 @@ pinned()
         {"T4_mem_chase_counters_baseline",
          "ce2ecb3a75f8c2039a9df40eaf79367e3b6f0d7729bb5b16b031f43e8000872c"},
         {"T4_mem_chase_counters_content_aware",
-         "5223f2bb90a6e9e2e2cb3cfdfa74554dff5b785be1f2916c70661838bf9c0eef"},
+         "e08eec6fe924983a98fde3d5af844a79a8ac59e8f055c36881bdd269eb7af684"},
         {"T4_mem_chase_counters_port_reduction",
          "133987e32ffa8c63d4ea487415e508edba5e0f323ff5066caa3243f4a27bf1d3"},
         {"T4_mem_chase_counters_unlimited",
@@ -186,7 +186,7 @@ pinned()
         {"T4_crc_daxpy_baseline",
          "3b3beb35d4bc9120e27b4fd300ae31503f5ba9bfd975f541365cd39b45d747e4"},
         {"T4_crc_daxpy_content_aware",
-         "35b5a901ef9383ec8ce72a301eec984a62965b1dda4b4f3c231c33de6d8cffd7"},
+         "6165decaf5413cb5a2393f3cfb4b1e1cfac8edc6b523dd597947de4384820668"},
         {"T4_crc_daxpy_port_reduction",
          "7a8b8a15eda925bfc49e734d815099aba6135f1f855c83eb1c4c0e53bb67d07a"},
         {"T4_crc_daxpy_unlimited",
@@ -194,7 +194,7 @@ pinned()
         {"T1_hash_table_baseline_all",
      "f2a21af6f8773e2d67a2b0a0883181e7b115c8e5d3a7bbe7ab4f57cc523680d9"},
         {"T1_hash_table_content_aware_all",
-     "194e7248d6e0bec3f732c44ebaa7d8321a8f384a4071690466d3c3a902cf9c4d"},
+     "766c12f9328ccdf88c09ac720e00f338f18e9adb72d947d2dbba1e3832d7345c"},
         {"T1_hash_table_port_reduction_all",
      "ec0155e6f83e389e3f1f849ed1d2fee4c8253dd3b2bf5981be25593c8af6e6ea"},
         {"T1_hash_table_unlimited_all",
@@ -202,7 +202,7 @@ pinned()
         {"T1_mem_chase_counters_baseline_all",
      "d4ebc2b373e6eae7145012cb89dc1cf3d61eab91a8f454b76700e511c71eecfa"},
         {"T1_mem_chase_counters_content_aware_all",
-     "7af37b8c8f638ccd89c76fa22cea9410deef88dc8abceaeca50f327a64398612"},
+     "546296089d6f462f80a5393ad2866539c8ea4a4ceb2fa57ebfb417b7b509d477"},
         {"T1_mem_chase_counters_port_reduction_all",
      "e2c658f9f5cd06b7818940cf85d934cdd8fa8cdbfa54fa38c86ec8979d416d2f"},
         {"T1_mem_chase_counters_unlimited_all",
@@ -210,7 +210,7 @@ pinned()
         {"T1_crc_daxpy_baseline_all",
      "1033d5f2e2912ec81530576391d11a663d95d1fcab7f66de39179f5fa2d94a19"},
         {"T1_crc_daxpy_content_aware_all",
-     "08cdddd30906d5f158fa1e3d5f70e595d5311960f185efa43f23d1039d789964"},
+     "f7a5f22246e7b4f0c3e29dc209b73f2989657de6e1a15300e7cfb5591c531c7b"},
         {"T1_crc_daxpy_port_reduction_all",
      "3135e32e9cf6a410434789de4412460e9cc3445219f7c321edf6c4c217ec2b84"},
         {"T1_crc_daxpy_unlimited_all",
@@ -218,7 +218,7 @@ pinned()
         {"T2_hash_table_baseline_all",
          "715be03b76acf78b9ea42b2cf2362d7bf42f9a7b1524694a7fae519f350c8a26"},
         {"T2_hash_table_content_aware_all",
-         "ec7f4d27c82e1e3b8aa7875ee669032f9801a2d85cfe082f6c1299d75f798393"},
+         "fb4bbb1444aee2b34b802149692e365828ce94c98840bc395c772add71204d04"},
         {"T2_hash_table_port_reduction_all",
          "6660b9635c570ebf2762c4e3325f2c5d57536068bd9df5809678dc6650a8caa9"},
         {"T2_hash_table_unlimited_all",
@@ -226,7 +226,7 @@ pinned()
         {"T2_mem_chase_counters_baseline_all",
          "7f23f08850f50434eb9a55e9138ef9e0c7dbbddb70485a17e7fd9811b23e7242"},
         {"T2_mem_chase_counters_content_aware_all",
-         "4ac2cd641a31930096020e03c20bcab23a490de721d6c115581bbaf1aafe9ed6"},
+         "69ae17eae849188bf7f105225e74c73f92aa62da250dfbd9942e68366b09281f"},
         {"T2_mem_chase_counters_port_reduction_all",
          "5d36cd2c89ee44eed5699cb3ab6c15862718a37a0b5073d32b2eb194174b6b70"},
         {"T2_mem_chase_counters_unlimited_all",
@@ -234,7 +234,7 @@ pinned()
         {"T2_crc_daxpy_baseline_all",
          "53357530347d4caa0ca3129f168687057ad16c255d2dd2e0ace8d066fcbe297c"},
         {"T2_crc_daxpy_content_aware_all",
-         "4708d59be18122f295bc6f6844d1b7041bc7dd916ef6313dda17253dd3a9fb1b"},
+         "6da069359351d930c87a23eaf74444b6fd899c2beea0067fc8c501158c966791"},
         {"T2_crc_daxpy_port_reduction_all",
          "81c0d184445ee72b130fd9a721dbc961fda7f6ddb093ebb419600c474c97042f"},
         {"T2_crc_daxpy_unlimited_all",
@@ -242,7 +242,7 @@ pinned()
         {"T4_hash_table_baseline_all",
          "dd9dfd13121f693d30f5bd364b6bba0e767868550516875dbb192862c5ff4788"},
         {"T4_hash_table_content_aware_all",
-         "32491a176b9a217d245521a450907df13aeb5fd7b4b310e8fcac7acbdd06e0fb"},
+         "dbb3705089f3a2792a399e7abe742a4292f957a0ad54c7e0f61b6dbbb22aa513"},
         {"T4_hash_table_port_reduction_all",
          "a2de5ae8be3ffb5740875d77ccf65e78521fc126fa8d81254b9af73073bb0c85"},
         {"T4_hash_table_unlimited_all",
@@ -250,7 +250,7 @@ pinned()
         {"T4_mem_chase_counters_baseline_all",
          "4a1acb8267740b0673b2a047a67bd4cf716ede9cf139a840b528712622381efe"},
         {"T4_mem_chase_counters_content_aware_all",
-         "ab5365e8948df2ad598ce08e1124b3e4e1f13fcfeb9af2171512548723f82b44"},
+         "8479151af2578da4530df3352c6c4cbb950c1c20d9d0212b1ddfdf5a71e00524"},
         {"T4_mem_chase_counters_port_reduction_all",
          "dc7b9f2e86ebda92c5ee2220519cc7ed00993a112125a4e357965def3f059b3e"},
         {"T4_mem_chase_counters_unlimited_all",
@@ -258,7 +258,7 @@ pinned()
         {"T4_crc_daxpy_baseline_all",
          "cdf1bfe57018b82ed38430e5d6aea4383984ead720ada1db6c16919214cf5061"},
         {"T4_crc_daxpy_content_aware_all",
-         "aae8ea238408fbf2c127450184fbf2ce90b380086efae2b51091ce7fe1277eff"},
+         "81a28f9e5c794b7638d422662beb01b47dc104a138e3a4f44be8e7e0ebb61a36"},
         {"T4_crc_daxpy_port_reduction_all",
          "3e8553f56715b94000baa946305bb5ceb219ef7577dbe1371f615ad394e6f564"},
         {"T4_crc_daxpy_unlimited_all",
@@ -318,8 +318,8 @@ TEST(SoloGolden, SampledContentAwareMatchesPinnedHash)
         workloads::findWorkload("hash_table"),
         core::CoreParams::contentAware(), options);
     std::string digest = Sha256::hashHex(sim::runResultJsonFull(r, false));
-    EXPECT_EQ(digest, "94b031243a82a672f3dbb40ddd0018f9"
-                      "e5c145952b2dde9880e743a4b2775911");
+    EXPECT_EQ(digest, "d988aa6e2ec98ca1bbfa1ad9e7a8f438"
+                      "0b18e52ac29e5b0d48797357c0fd2c60");
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -172,22 +172,6 @@ TEST(Classify, LongWhenNeitherSimpleNorResident)
 }
 
 /** The const overload agrees with the indexed one on every class. */
-TEST(Classify, ConstOverloadMatchesIndexedClassification)
-{
-    SimilarityParams sim{17, 3};
-    ShortFile file(sim);
-    file.tryAllocate(0x4000'0000);
-    Rng rng(11);
-    for (int i = 0; i < 2000; ++i) {
-        u64 v = rng.next() >> rng.nextBounded(64);
-        if (rng.chance(0.3))
-            v = 0x4000'0000 + rng.nextBounded(1 << 17);
-        unsigned idx = 0;
-        EXPECT_EQ(classifyValue(v, sim, file),
-                  classifyValue(v, sim, file, idx));
-    }
-}
-
 /** ShortFile self-check: clean on normal flows, loud on corruption. */
 TEST(ShortFile, CheckInvariantsDetectsLeakedRefs)
 {
