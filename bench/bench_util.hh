@@ -3,7 +3,9 @@
  * Shared helpers for the experiment harnesses in bench/.
  *
  * Every harness accepts "key=value" overrides; the universal keys are
- *   insts=N    dynamic instruction budget per workload (default 500k)
+ * the run-window keys of sim::configureWindow() (insts= defaults to
+ * 500k here; sampled results are estimates, not bit-identical to full
+ * runs), plus
  *   jobs=N     simulation worker threads (default: hardware threads;
  *              jobs=1 forces the serial path — output is identical)
  *   progress=1 log per-job completion lines to stderr
@@ -12,17 +14,6 @@
  *   trace_cache=0     disable the shared trace cache (default on;
  *                     results are bit-identical either way)
  *   trace_cache_mb=N  cache byte budget in MiB (default 512)
- *   fast_path=0       disable the exact idle-cycle skip (default on;
- *                     results are bit-identical either way —
- *                     fast_path=0 is for A/B wall-time runs)
- *   sampling_period=N SMARTS-style statistical sampling: instructions
- *                     per period (default 0 = full detail). Sampled
- *                     results are estimates, not bit-identical to
- *                     full runs.
- *   sampling_warmup=N   detailed warm-up instructions per period
- *                       (default 2000)
- *   sampling_measure=N  measured instructions per period
- *                       (default 1000)
  *   regfile=NAME[,NAME...]
  *                     register-file backend selection, read only by
  *                     the harnesses that simulate configurations
@@ -197,21 +188,14 @@ struct BenchArgs
     {
         BenchArgs args;
         args.config.parseArgs(argc, argv);
-        args.options.maxInsts = args.config.getU64("insts", 500000);
+        args.options.maxInsts = 500000;
+        sim::configureWindow(args.config, args.options);
         args.progress = args.config.getBool("progress", false);
         args.jobs = args.config.getU32(
             "jobs", sim::ExperimentRunner::hardwareJobs());
         args.runner = sim::ExperimentRunner(args.jobs ? args.jobs : 1);
         args.traceCache = sim::configureTraceCache(args.config);
         args.options.traceCache = args.traceCache.get();
-        args.options.fastPath = args.config.getBool("fast_path", true);
-        args.options.samplingPeriod =
-            args.config.getU64("sampling_period", 0);
-        args.options.samplingWarmup = args.config.getU64(
-            "sampling_warmup", args.options.samplingWarmup);
-        args.options.samplingMeasure = args.config.getU64(
-            "sampling_measure", args.options.samplingMeasure);
-        args.options.validate();
         std::string store_dir = args.config.getString("store_dir", "");
         if (args.config.getBool("result_store", !store_dir.empty())) {
             if (store_dir.empty())

@@ -21,7 +21,8 @@
  *                       only)
  *   min_sampling_speedup=X  fatal if the sampling geomean wall
  *                       speedup falls below X (default 0)
- * The sampling_period= key defaults to 10000 here (elsewhere 0).
+ * Section 2 samples every sampling_period= instructions, 10000 when
+ * the key is absent or 0 (elsewhere 0 means full detail).
  */
 
 #include <chrono>
@@ -71,7 +72,8 @@ main(int argc, char **argv)
     std::string skip_suite =
         args.config.getString("skip_suite", "both");
     double min_speedup = args.config.getDouble("min_speedup", 0.0);
-    u64 period = args.config.getU64("sampling_period", 10000);
+    u64 period = args.options.samplingPeriod ? args.options.samplingPeriod
+                                             : 10000;
     double max_err = args.config.getDouble("max_ipc_err", 0.0);
     double min_samp = args.config.getDouble("min_sampling_speedup", 0.0);
     args.readRegfileKey();

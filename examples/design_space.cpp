@@ -7,6 +7,7 @@
  * K=48).
  *
  * Usage: design_space [insts=300000] [suite=int|fp]
+ * plus the other window keys of sim::configureWindow().
  */
 
 #include <algorithm>
@@ -38,7 +39,8 @@ main(int argc, char **argv)
     Config config;
     config.parseArgs(argc, argv);
     sim::SimOptions options;
-    options.maxInsts = config.getU64("insts", 300000);
+    options.maxInsts = 300000;
+    sim::configureWindow(config, options);
     const bool use_fp = config.getString("suite", "int") == "fp";
     config.rejectUnreadKeys("design_space");
     const auto &suite =

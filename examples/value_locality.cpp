@@ -6,6 +6,8 @@
  * decides whether the content-aware organization suits a workload.
  *
  * Usage: value_locality [workload=pointer_chase] [insts=300000]
+ * [sample=8] plus the other window keys of sim::configureWindow()
+ * (sampling is fatal: the oracle needs one continuous window).
  */
 
 #include <cstdio>
@@ -25,8 +27,9 @@ main(int argc, char **argv)
         config.getString("workload", "pointer_chase");
 
     sim::SimOptions options;
-    options.maxInsts = config.getU64("insts", 300000);
+    options.maxInsts = 300000;
     options.oracleSamplePeriod = config.getU32("sample", 8);
+    sim::configureWindow(config, options);
     config.rejectUnreadKeys("value_locality");
 
     sim::LiveValueOracle oracle({8, 12, 16, 20});

@@ -70,6 +70,12 @@ std::vector<core::RunResult>
 ExperimentRunner::run(const std::vector<ExperimentJob> &batch,
                       const ProgressFn &progress) const
 {
+    // Validate every job before any runs or reaches the store: an
+    // invalid job late in the batch must not leave earlier results
+    // simulated, reported and stored before it is fatal.
+    for (const ExperimentJob &job : batch)
+        job.options.validate(job.params.smtThreads);
+
     std::vector<core::RunResult> results(batch.size());
 
     // Resolve content-addressed cache hits up front: a hit fills its

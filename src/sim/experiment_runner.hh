@@ -100,6 +100,9 @@ class ExperimentRunner
      * submission order), misses run as usual and are written back as
      * they complete — so a killed batch resumes by skipping every key
      * it already stored. Oracle-carrying jobs bypass the store.
+     * Every job's options are validated (SimOptions::validate()) before
+     * any job is looked up or run, so an invalid job is fatal with no
+     * progress reported and nothing stored.
      */
     std::vector<core::RunResult>
     run(const std::vector<ExperimentJob> &batch,

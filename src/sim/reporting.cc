@@ -45,66 +45,6 @@ suiteIpcTable(const std::string &title, const SuiteRun &run)
     return table;
 }
 
-std::string
-runResultJson(const core::RunResult &result)
-{
-    const auto &c = result.intRfAccesses;
-    std::string json = "{";
-    json += "\"workload\":" + jsonString(result.workload) + ",";
-    json += "\"config\":" + jsonString(result.config) + ",";
-    json += strprintf("\"cycles\":%llu,",
-                      (unsigned long long)result.cycles);
-    json += strprintf("\"insts\":%llu,",
-                      (unsigned long long)result.committedInsts);
-    json += strprintf("\"ipc\":%.6f,", result.ipc);
-    json += strprintf("\"branch_mispredict_rate\":%.6f,",
-                      result.branchMispredictRate());
-    json += strprintf("\"bypass_fraction\":%.6f,",
-                      result.bypass.bypassFraction());
-    json += strprintf(
-        "\"rf_reads\":[%llu,%llu,%llu],",
-        (unsigned long long)c.reads[0], (unsigned long long)c.reads[1],
-        (unsigned long long)c.reads[2]);
-    json += strprintf("\"rf_writes\":[%llu,%llu,%llu],",
-                      (unsigned long long)c.writes[0],
-                      (unsigned long long)c.writes[1],
-                      (unsigned long long)c.writes[2]);
-    json += strprintf("\"short_probe_reads\":%llu,",
-                      (unsigned long long)c.shortProbeReads);
-    json += strprintf("\"short_file_writes\":%llu,",
-                      (unsigned long long)result.shortFileWrites);
-    json += strprintf("\"long_alloc_stalls\":%llu,",
-                      (unsigned long long)result.longAllocStalls);
-    json += strprintf("\"recoveries\":%llu,",
-                      (unsigned long long)result.recoveries);
-    json += strprintf("\"avg_live_long\":%.3f,", result.avgLiveLong);
-    json += strprintf("\"avg_live_short\":%.3f,", result.avgLiveShort);
-    json += "\"cycle_buckets\":{";
-    for (unsigned b = 0; b < core::CycleAccounting::NumBuckets; ++b) {
-        json += strprintf(
-            "%s\"%s\":%llu", b ? "," : "",
-            core::CycleAccounting::bucketName(b),
-            (unsigned long long)result.cycleAccounting.counts[b]);
-    }
-    json += "},";
-    if (result.samplingPeriod > 0) {
-        json += strprintf("\"sampling_period\":%llu,",
-                          (unsigned long long)result.samplingPeriod);
-        json += strprintf("\"sampling_intervals\":%llu,",
-                          (unsigned long long)result.samplingIntervals);
-        json += strprintf("\"sampling_ipc_ci95\":%.6f,",
-                          result.samplingIpcCi95);
-    }
-    // Host-time fields are nondeterministic; they sit together at the
-    // tail so determinism checks can strip them in one cut.
-    json += strprintf("\"wall_seconds\":%.6f,", result.wallSeconds);
-    json += strprintf("\"trace_build_seconds\":%.6f,",
-                      result.traceBuildSeconds);
-    json += strprintf("\"sim_seconds\":%.6f", result.simSeconds);
-    json += "}";
-    return json;
-}
-
 namespace
 {
 
@@ -434,7 +374,7 @@ suiteRunJson(const SuiteRun &run)
     for (size_t i = 0; i < run.results.size(); ++i) {
         if (i)
             json += ",";
-        json += runResultJson(run.results[i]);
+        json += runResultJsonFull(run.results[i]);
     }
     json += "]";
     return json;

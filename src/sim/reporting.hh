@@ -28,21 +28,18 @@ Table suiteIpcTable(const std::string &title, const SuiteRun &run);
 std::string summarizeRun(const core::RunResult &result);
 
 /**
- * Machine-readable JSON object for one run (flat keys; counts and
- * rates). Stable field names — downstream tooling parses this.
+ * JSON array of runResultJsonFull() objects (host times included) for
+ * a whole suite run: the records of a BENCH_<name>.json report.
  */
-std::string runResultJson(const core::RunResult &result);
-
-/** JSON array of runResultJson objects for a whole suite run. */
 std::string suiteRunJson(const SuiteRun &run);
 
 /**
  * Full-fidelity JSON object for one run: every field of
  * core::forEachResultField(), in its order, with doubles printed at
  * %.17g so parsing recovers the exact bit pattern. The SMT and
- * sampling blocks appear only for multithreaded and sampled runs. This is the result-store value format and the
- * carf_sweep NDJSON record; runResultJson() above stays the compact
- * report format.
+ * sampling blocks appear only for multithreaded and sampled runs.
+ * This is the one result record: the result-store value, the
+ * carf_sweep NDJSON record and the BENCH report record.
  *
  * @param include_host_times emit the nondeterministic wall/trace/sim
  *        second fields (stored entries keep them; merged sweep output

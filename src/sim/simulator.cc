@@ -189,6 +189,21 @@ SimOptions::validate(unsigned threads) const
     }
 }
 
+void
+configureWindow(const Config &config, SimOptions &options)
+{
+    options.maxInsts = config.getU64("insts", options.maxInsts);
+    options.fastForward = config.getU64("fast_forward", options.fastForward);
+    options.fastPath = config.getBool("fast_path", options.fastPath);
+    options.samplingPeriod =
+        config.getU64("sampling_period", options.samplingPeriod);
+    options.samplingWarmup =
+        config.getU64("sampling_warmup", options.samplingWarmup);
+    options.samplingMeasure =
+        config.getU64("sampling_measure", options.samplingMeasure);
+    options.validate();
+}
+
 core::CoreParams
 configureRun(const Config &config, SimOptions &options,
              const std::string &default_backend)
@@ -223,8 +238,7 @@ configureRun(const Config &config, SimOptions &options,
             "shared_read_ports", params.portRed.sharedReadPorts);
         params.portRed.validate();
     }
-    options.maxInsts = config.getU64("insts", options.maxInsts);
-    options.fastForward = config.getU64("fast_forward", options.fastForward);
+    configureWindow(config, options);
     return params;
 }
 

@@ -111,14 +111,25 @@ struct SimOptions
 };
 
 /**
+ * The run window a key=value command line asks for, read into
+ * @p options (whose values are the defaults); the one reader of these
+ * keys on every surface:
+ *   insts=N fast_forward=N fast_path=B
+ *   sampling_period=N sampling_warmup=N sampling_measure=N
+ * Ends with options.validate(), so a malformed window (a sampling
+ * interval that does not fit its period, a wrapping fast-forward) is
+ * fatal when the line is parsed.
+ */
+void configureWindow(const Config &config, SimOptions &options);
+
+/**
  * The core configuration and run window a key=value command line, or
  * one carf_sweep grid point, asks for; the one spelling of each knob:
  *   config=NAME (default @p default_backend)
  *   phys_int_regs=N read_ports=N write_ports=N
  *   d_plus_n=N n=N long=N stall=N assoc_short=B alloc_any=B
  *   extra_bypass=B (content-aware only), shared_read_ports=N
- *   (port-reduction only), insts=N fast_forward=N (into @p options,
- *   whose values are the defaults).
+ *   (port-reduction only), and configureWindow()'s keys.
  * Another backend's keys stay unread, so Config::rejectUnreadKeys()
  * rejects them. Unknown backends, 32-bit knobs past 2^32-1, signs and
  * n >= d_plus_n are fatal.

@@ -67,20 +67,6 @@ expectIdentical(const core::RunResult &a, const core::RunResult &b)
     EXPECT_EQ(a.avgLiveShort, b.avgLiveShort);
 }
 
-/**
- * runResultJson with the host-time fields stripped. They are grouped
- * at the tail of the object (wall_seconds, trace_build_seconds,
- * sim_seconds), so one cut removes all of them.
- */
-std::string
-jsonWithoutWallTime(const core::RunResult &result)
-{
-    std::string json = runResultJson(result);
-    auto pos = json.find(",\"wall_seconds\":");
-    EXPECT_NE(pos, std::string::npos);
-    return json.substr(0, pos) + "}";
-}
-
 } // namespace
 
 TEST(ExperimentRunner, HardwareJobsIsAtLeastOne)
@@ -105,8 +91,8 @@ TEST(ExperimentRunner, SerialAndParallelIntSuiteIdentical)
     for (size_t i = 0; i < suite.size(); ++i) {
         expectIdentical(serial.results[i], parallel.results[i]);
         // Byte-level check through the reporting path too.
-        EXPECT_EQ(jsonWithoutWallTime(serial.results[i]),
-                  jsonWithoutWallTime(parallel.results[i]));
+        EXPECT_EQ(runResultJsonFull(serial.results[i], false),
+                  runResultJsonFull(parallel.results[i], false));
     }
     EXPECT_EQ(serial.meanIpc(), parallel.meanIpc());
 }

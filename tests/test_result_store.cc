@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -294,6 +295,7 @@ TEST(ResultStore, EveryConfigKnobChangesTheKey)
         {"content-aware", "alloc_any", "1"},
         {"content-aware", "extra_bypass", "0"},
         {"port-reduction", "shared_read_ports", "3"},
+        {"baseline", "sampling_period", "5000"},
     };
     auto keyOf = [](const Config &config) {
         SimOptions options = quick();
@@ -310,6 +312,27 @@ TEST(ResultStore, EveryConfigKnobChangesTheKey)
         EXPECT_NE(keyOf(changed), keyOf(base)) << knob.key;
         EXPECT_TRUE(changed.readKeys().count(knob.key)) << knob.key;
         covered.insert(knob.key);
+    }
+
+    // The interval knobs matter only to a sampled run; with sampling off
+    // it is inert and shares the full run's key. fast_path= is
+    // bit-identical by contract, so it never changes the key.
+    for (const char *period : {"0", "5000"}) {
+        Config base;
+        base.set("config", "baseline");
+        base.set("sampling_period", period);
+        bool sampled = std::string(period) != "0";
+        for (const char *key : {"sampling_warmup", "sampling_measure"}) {
+            Config changed = base;
+            changed.set(key, "500");
+            EXPECT_EQ(keyOf(changed) != keyOf(base), sampled)
+                << key << " at sampling_period=" << period;
+            covered.insert(key);
+        }
+        Config stepped = base;
+        stepped.set("fast_path", "0");
+        EXPECT_EQ(keyOf(stepped), keyOf(base)) << period;
+        covered.insert("fast_path");
     }
 
     // config= itself, and a row above for every key any backend reads.
@@ -516,6 +539,36 @@ TEST(ResultStore, RunnerReadsThroughStore)
     for (size_t i = 0; i < first.size(); ++i)
         EXPECT_EQ(runResultJsonFull(first[i]),
                   runResultJsonFull(second[i]));
+}
+
+TEST(ResultStoreDeathTest, RunnerValidatesEveryJobBeforeRunningAny)
+{
+    // The valid sampled T=1 job comes first; the T=2 sampled job after
+    // it can never run. Nothing may simulate, report progress or reach
+    // the store before that is fatal.
+    TempDir dir("validate");
+    ResultStore store(dir.str(), buildFingerprint());
+    auto options = quick(4000);
+    options.resultStore = &store;
+    options.samplingPeriod = 2000;
+    options.samplingWarmup = 200;
+    options.samplingMeasure = 200;
+    core::CoreParams smt = core::CoreParams::baseline();
+    smt.smtThreads = 2;
+    std::vector<ExperimentJob> jobs = {
+        {workloads::findWorkload("counters"), core::CoreParams::baseline(),
+         options, "T=1", nullptr},
+        {workloads::findWorkload("counters"), smt, options, "T=2",
+         nullptr},
+    };
+    // A progress callback exits with another status, so the death
+    // below also shows that none fired.
+    EXPECT_EXIT(ExperimentRunner(1).run(
+                    jobs, [](const ExperimentProgress &) { std::_Exit(3); }),
+                ::testing::ExitedWithCode(1),
+                "statistical sampling runs one thread \\(smtThreads=2\\)");
+    fs::path file = dir.path / "results.ndjson";
+    EXPECT_TRUE(!fs::exists(file) || fs::file_size(file) == 0);
 }
 
 TEST(ResultStore, OracleJobsBypassStore)

@@ -184,6 +184,18 @@ TEST(ConfigureRun, RunWindowIsSixtyFourBits)
     EXPECT_EQ(options.maxInsts, 4294967297ull);
 }
 
+TEST(ConfigureRun, ReadsTheWindowKeys)
+{
+    SimOptions options;
+    configured({"fast_path=0", "sampling_period=5000",
+                "sampling_warmup=500", "sampling_measure=700"},
+               options);
+    EXPECT_FALSE(options.fastPath);
+    EXPECT_EQ(options.samplingPeriod, 5000u);
+    EXPECT_EQ(options.samplingWarmup, 500u);
+    EXPECT_EQ(options.samplingMeasure, 700u);
+}
+
 TEST(ConfigureRunDeathTest, BadKnobsAreFatal)
 {
     SimOptions options;
@@ -208,6 +220,16 @@ TEST(ConfigureRunDeathTest, BadKnobsAreFatal)
                              "shared_read_ports=3"},
                             options),
                  "unknown key 'shared_read_ports'");
+    // A window validate() rejects is fatal as the line is parsed.
+    EXPECT_DEATH(configured({"sampling_period=2500"}, options),
+                 "exceeds samplingPeriod");
+    EXPECT_DEATH(configured({"sampling_period=5000", "fast_forward=10"},
+                            options),
+                 "fastForward overlaps");
+    EXPECT_DEATH(configured({"sampling_period=5000",
+                             "sampling_measure=0"},
+                            options),
+                 "samplingMeasure must be > 0");
 }
 
 TEST(ConfigureTraceCache, ReadsSwitchAndBudget)
@@ -290,19 +312,52 @@ TEST(Reporting, DescribeConfigMentionsGeometry)
 
 TEST(Reporting, JsonContainsStableFields)
 {
-    auto result = simulate(workloads::findWorkload("crc"),
-                           core::CoreParams::contentAware(),
-                           quick(8000));
-    std::string json = runResultJson(result);
+    auto run = runSuite({workloads::findWorkload("crc")},
+                        core::CoreParams::contentAware(), quick(8000));
+    std::string json = suiteRunJson(run);
     for (const char *key :
-         {"\"workload\":\"crc\"", "\"config\":\"content-aware\"",
-          "\"cycles\":", "\"insts\":8000", "\"ipc\":",
-          "\"rf_reads\":[", "\"rf_writes\":[", "\"recoveries\":",
-          "\"avg_live_long\":"}) {
+         {"[{\"workload\":\"crc\",\"config\":\"content-aware\",",
+          "\"cycles\":", "\"committed_insts\":8000,", "\"ipc\":",
+          "\"operand_mix\":[", "\"cluster\":", "\"rf_reads\":[",
+          "\"rf_writes\":[", "\"recoveries\":", "\"avg_live_long\":",
+          "\"cycle_buckets\":[", "\"wall_seconds\":"}) {
         EXPECT_NE(json.find(key), std::string::npos) << key;
     }
-    EXPECT_EQ(json.front(), '{');
-    EXPECT_EQ(json.back(), '}');
+    // A report record is the store's record, host times included.
+    EXPECT_EQ(json, "[" + runResultJsonFull(run.results[0]) + "]");
+}
+
+TEST(Reporting, SuiteRecordsRoundTripThroughTheParser)
+{
+    // Solo, two-thread and sampled records, each re-serialized from
+    // its parse byte for byte; the SMT and sampling blocks included.
+    core::CoreParams smt = core::CoreParams::contentAware();
+    smt.smtThreads = 2;
+    SimOptions sampled = quick(30000);
+    sampled.samplingPeriod = 10000;
+    const struct
+    {
+        core::CoreParams params;
+        SimOptions options;
+        const char *block;
+    } runs[] = {
+        {core::CoreParams::contentAware(), quick(8000), "\"cycle_buckets\""},
+        {smt, quick(8000), "\"smt_threads\":2,"},
+        {core::CoreParams::contentAware(), sampled,
+         "\"sampling_intervals\":"},
+    };
+    for (const auto &r : runs) {
+        std::string json = suiteRunJson(
+            runSuite({workloads::findWorkload("crc")}, r.params, r.options));
+        ASSERT_GE(json.size(), 2u);
+        ASSERT_EQ(json.front(), '[');
+        ASSERT_EQ(json.back(), ']');
+        std::string record = json.substr(1, json.size() - 2);
+        EXPECT_NE(record.find(r.block), std::string::npos) << record;
+        auto parsed = parseRunResultJson(record);
+        ASSERT_TRUE(parsed.has_value()) << record;
+        EXPECT_EQ(runResultJsonFull(*parsed), record);
+    }
 }
 
 TEST(Reporting, SuiteJsonIsArray)

@@ -226,18 +226,11 @@ expectSameStream(TraceSource &a, TraceSource &b)
     }
 }
 
-/**
- * Deterministic slice of a RunResult's JSON: the host-time fields
- * (wall/trace-build/sim seconds) sit together at the object tail, so
- * one cut removes all of them.
- */
+/** Deterministic record of a run: every field but the host times. */
 std::string
 jsonSansTime(const core::RunResult &result)
 {
-    std::string json = sim::runResultJson(result);
-    auto pos = json.find(",\"wall_seconds\":");
-    EXPECT_NE(pos, std::string::npos);
-    return json.substr(0, pos) + "}";
+    return sim::runResultJsonFull(result, false);
 }
 
 sim::SimOptions

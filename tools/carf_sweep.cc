@@ -20,8 +20,9 @@
  *   store_dir=DIR     result store directory (default carf_sweep_store)
  *   out=PATH          merged NDJSON output (default SWEEP_results.ndjson)
  *   jobs=N            worker threads (default: hardware threads)
- *   insts=N           default instruction budget (default 500000;
- *                     per-line insts= overrides)
+ *   insts=N ...       default run window: the keys of
+ *                     sim::configureWindow(), insts= defaulting to
+ *                     500000; per-line keys override
  *   times=1           keep host-time fields in the merged output
  *                     (default 0: deterministic output)
  *   quiet=1           suppress per-result streaming lines
@@ -36,7 +37,7 @@
  *   workload=NAME|suite:int|suite:fp|suite:stall|suite:all  (required)
  *   config=BACKEND   registered backend name (required)
  *   and the other core and window keys of sim::configureRun()
- *   (d_plus_n= long= stall= phys_int_regs= insts= fast_forward= ...),
+ *   (d_plus_n= long= stall= phys_int_regs= insts= sampling_period= ...),
  *   spelled as on the simulate command line. Every expanded point
  *   must read all of its keys, so a misspelled key or a key of another
  *   backend (config=baseline,content-aware d_plus_n=8) is fatal before
@@ -182,7 +183,8 @@ main(int argc, char **argv)
         config.getU32("jobs", sim::ExperimentRunner::hardwareJobs());
 
     sim::SimOptions defaults;
-    defaults.maxInsts = config.getU64("insts", 500000);
+    defaults.maxInsts = 500000;
+    sim::configureWindow(config, defaults);
     std::shared_ptr<emu::TraceCache> trace_cache =
         sim::configureTraceCache(config);
     defaults.traceCache = trace_cache.get();
